@@ -8,46 +8,26 @@ is exactly the code, T is invertible, and for cyclic codes T commutes
 with cyclic shifts — giving a transform with shift and convolution
 behavior analogous to the classical discrete-transform toolkit, with
 exact arithmetic throughout.
+
+The names below are the documented public API; everything else lives in
+the submodules (gf, poly, matrix, codes, transforms, verify, cli).
 """
 
-from .gf import FieldElement, ModulusMismatchError, PrimeField
-from .poly import CyclicRing, FieldPoly, poly_gcd, reversed_coefficient_row
-from .matrix import (
-    FieldMatrix,
-    SingularMatrixError,
-    char_poly,
-    circulant_from_first_row,
-    determinant,
-    format_matrix_json,
-    format_matrix_text,
-    inverse,
-    kernel_basis,
-    multiplicative_order,
-    parse_matrix,
-    rank,
-    rref,
-)
+from .gf import ModulusMismatchError, PrimeField
+from .poly import CyclicRing, FieldPoly
+from .matrix import FieldMatrix, SingularMatrixError
 from .codes import (
     CodeSpec,
     UnsupportedParametersError,
-    all_codewords,
-    cyclic_hamming_parity_poly,
     cyclic_hamming_spec,
-    format_code_spec,
-    generator_from_parity,
     golay_spec,
     hamming74_systematic,
     hamming_parity_check,
-    minimum_distance,
-    parse_code_spec,
-    perfect_witness,
     shortened_hamming_6_3,
-    sphere_packing_sum,
 )
 from .transforms import (
     CheckResult,
     EigenvalueUnsuitableError,
-    InflationStrategy,
     PropertyReport,
     TransformSpec,
     apply_via_polynomial,
@@ -55,13 +35,8 @@ from .transforms import (
     build_cyclic,
     build_extended_golay,
     build_standard,
-    eigen_candidates,
     eigenspace,
-    first_column_poly,
-    format_transform,
-    inflate,
     is_perfect_transform,
-    rotate_right,
     verify_properties,
 )
 
@@ -72,53 +47,25 @@ __all__ = [
     "CodeSpec",
     "CyclicRing",
     "EigenvalueUnsuitableError",
-    "FieldElement",
     "FieldMatrix",
     "FieldPoly",
-    "InflationStrategy",
     "ModulusMismatchError",
     "PrimeField",
     "PropertyReport",
     "SingularMatrixError",
     "TransformSpec",
     "UnsupportedParametersError",
-    "all_codewords",
     "apply_via_polynomial",
     "build_appendix_systematic",
     "build_cyclic",
     "build_extended_golay",
     "build_standard",
-    "char_poly",
-    "circulant_from_first_row",
-    "cyclic_hamming_parity_poly",
     "cyclic_hamming_spec",
-    "determinant",
-    "eigen_candidates",
     "eigenspace",
-    "first_column_poly",
-    "format_code_spec",
-    "format_matrix_json",
-    "format_matrix_text",
-    "format_transform",
-    "generator_from_parity",
     "golay_spec",
     "hamming74_systematic",
     "hamming_parity_check",
-    "inflate",
-    "inverse",
     "is_perfect_transform",
-    "kernel_basis",
-    "minimum_distance",
-    "multiplicative_order",
-    "parse_code_spec",
-    "parse_matrix",
-    "perfect_witness",
-    "poly_gcd",
-    "rank",
-    "reversed_coefficient_row",
-    "rotate_right",
-    "rref",
     "shortened_hamming_6_3",
-    "sphere_packing_sum",
     "verify_properties",
 ]

@@ -22,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .gf import PrimeField
-from .matrix import FieldMatrix, circulant_from_first_row, format_matrix_text, kernel_basis, parse_matrix, rref
+from .matrix import FieldMatrix, circulant_from_first_row, kernel_basis, rref
 from .poly import FieldPoly, reversed_coefficient_row
 
 
@@ -365,29 +365,3 @@ def perfect_witness(p: int, n: int, k: int) -> int | None:
         if s > target:
             return None
     return None
-
-
-# -- serialization ---------------------------------------------------------------
-
-
-def format_code_spec(spec: CodeSpec) -> str:
-    """Header "code <label> p=<p> N=<N> k=<k> d=<d>" plus the matrix text."""
-    d = "?" if spec.d is None else str(spec.d)
-    header = f"code {spec.label} p={spec.field.p} N={spec.N} k={spec.k} d={d}"
-    return format_matrix_text(spec.H, header=header)
-
-
-def parse_code_spec(text: str) -> CodeSpec:
-    """Inverse of :func:`format_code_spec` (the check polynomial is not
-    serialized, so round-tripped cyclic specs come back with h = None)."""
-    lines = text.strip().splitlines()
-    if not lines or not lines[0].startswith("code "):
-        raise ValueError('expected a header line starting with "code "')
-    fields = lines[0].split()
-    label = fields[1]
-    params = dict(f.split("=", 1) for f in fields[2:])
-    h_matrix = parse_matrix("\n".join(lines[1:]))
-    d = None if params["d"] == "?" else int(params["d"])
-    return CodeSpec(
-        h_matrix.field, int(params["N"]), int(params["k"]), d, h_matrix, None, label
-    )

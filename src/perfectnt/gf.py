@@ -1,14 +1,17 @@
-"""Exact arithmetic in prime fields GF(p).
+"""Prime fields GF(p) and the bound on the moduli this package accepts.
 
-Values are canonical residues in [0, p). Everything above this layer
-(polynomials, matrices, transforms) routes its scalar arithmetic through
-a :class:`PrimeField`, so there is exactly one place where reduction and
-inversion happen.
+Values are canonical residues in [0, p), held as plain ints or int64
+arrays. The layers above reduce after each product, which is exact in
+int64 only while p is below :data:`MAX_MODULUS`; larger moduli are
+refused here, before anything is computed with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+# p**3 < 2**63 and N*(p-1)**2 < 2**63 for N < 2**21 whenever p < 2**21.
+MAX_MODULUS = 2**21
 
 
 class ModulusMismatchError(ValueError):
@@ -27,19 +30,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: return (g, s, t) with s*a + t*b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 @dataclass(frozen=True, repr=False)
 class PrimeField:
     """The field GF(p). Doubles as the modulus tag carried by values."""
@@ -47,112 +37,21 @@ class PrimeField:
     p: int
 
     def __post_init__(self) -> None:
+        # checked first so trial division below runs at most ~1450 steps
+        if self.p >= MAX_MODULUS:
+            raise ValueError(
+                f"modulus {self.p} is too large: int64 arithmetic is exact "
+                f"only for p < 2**21 = {MAX_MODULUS}"
+            )
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
-    # Scalar helpers used by the polynomial and matrix layers, which keep
-    # plain ints internally and only reduce at the boundary.
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
-        """Multiplicative inverse via extended Euclid."""
+        """Multiplicative inverse of a nonzero residue."""
         a %= self.p
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
-        g, s, _ = xgcd(a, self.p)
-        # g is gcd(a, p) = 1 because p is prime and a != 0
-        return s % self.p
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            raise ValueError("exponent must be nonnegative")
-        return pow(a % self.p, e, self.p)
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value, self)
-
-    def elements(self) -> range:
-        return range(self.p)
+        return pow(a, -1, self.p)
 
     def __repr__(self) -> str:
         return f"GF({self.p})"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A single residue with its field attached.
-
-    Mixing elements of different fields raises ModulusMismatchError
-    instead of silently reducing by the wrong modulus.
-    """
-
-    value: int
-    field: PrimeField
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.field.p)
-
-    def _coerce(self, other: object) -> "FieldElement":
-        if isinstance(other, int):
-            return FieldElement(other, self.field)
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.field != self.field:
-            raise ModulusMismatchError(
-                f"cannot combine {self.field!r} and {other.field!r} values"
-            )
-        return other
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.value + o.value, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.value - o.value, self.field)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.value * o.value, self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.field)
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field.pow(self.value, e), self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.p})"

@@ -1,9 +1,11 @@
 """Dense linear algebra over GF(p), backed by small integer numpy arrays.
 
 Entries are canonical residues held in read-only int64 arrays; products
-are computed with integer matmul followed by a single reduction, which
-is exact for the matrix sizes this package works with (the largest is
-23x23 over GF(3), nowhere near int64 overflow).
+are computed with integer matmul followed by a single reduction. That is
+exact because :class:`PrimeField` refuses p >= 2**21
+(:data:`perfectnt.gf.MAX_MODULUS`): a dot product of length N then stays
+below N*(p-1)**2 and an elimination update a - b*inv*c below p**3, both
+under 2**63 for any matrix that fits in memory.
 
 Algorithms that need to be division-aware (RREF, determinant, inverse)
 pivot with modular inverses. The characteristic polynomial uses the
@@ -55,10 +57,6 @@ class FieldMatrix:
     @classmethod
     def zeros(cls, field: PrimeField, rows: int, cols: int) -> "FieldMatrix":
         return cls(field, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def from_rows(cls, field: PrimeField, rows) -> "FieldMatrix":
-        return cls(field, [list(r) for r in rows])
 
     # -- shape and access -------------------------------------------------
 

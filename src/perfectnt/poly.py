@@ -155,21 +155,10 @@ class FieldPoly:
     def __mod__(self, other: "FieldPoly") -> "FieldPoly":
         return divmod(self, other)[1]
 
-    def divides(self, other: "FieldPoly") -> bool:
-        return (other % self).is_zero()
-
     def monic(self) -> "FieldPoly":
         if self.is_zero():
             return self
         return self.scaled(self.field.inv(self.coeffs[-1]))
-
-    def evaluate(self, x: int) -> int:
-        """Horner evaluation at a residue; returns a residue."""
-        p = self.field.p
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % p
-        return acc
 
     # -- rendering -------------------------------------------------------
 

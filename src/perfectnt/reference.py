@@ -208,19 +208,6 @@ EXTENDED_GOLAY12_INVERSE = (
 
 SHORTENED63_TRANSFORM_DET = 1
 
-# -- sphere-packing witnesses -----------------------------------------------------
-
-# label -> the radius t achieving equality in the sphere-packing bound;
-# codes absent from this table have no witness.
-PERFECT_WITNESSES = {
-    "hamming(7,4,3)": 1,
-    "hamming(7,4,3)-cyclic": 1,
-    "hamming(13,10,3)": 1,
-    "golay(23,12,7)": 3,
-    "golay(11,6,5)": 2,
-    "golay(11,6,5)-systematic": 2,
-}
-
 
 def matrix(p: int, rows) -> FieldMatrix:
     """Wrap one of the tuples above as a FieldMatrix over GF(p)."""

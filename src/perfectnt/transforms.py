@@ -142,9 +142,9 @@ class TransformSpec:
         )
 
 
-def _finish(code: CodeSpec, lam: int, inflated: FieldMatrix, form: str) -> TransformSpec:
+def _finish(code: CodeSpec, lam: int, t_matrix: FieldMatrix, form: str) -> TransformSpec:
+    """Certify a finished T: refuse a zero determinant, cache the inverse."""
     lam = lam % code.field.p
-    t_matrix = inflated + FieldMatrix.identity(code.field, code.N).scaled(lam)
     det = determinant(t_matrix)
     if det == 0:
         raise EigenvalueUnsuitableError(lam, code.label)
@@ -156,6 +156,11 @@ def _finish(code: CodeSpec, lam: int, inflated: FieldMatrix, form: str) -> Trans
         inverse_matrix=inverse(t_matrix),
         det=det,
     )
+
+
+def _inflated_plus_lambda(code: CodeSpec, strategy: InflationStrategy, lam: int) -> FieldMatrix:
+    """T = H_e + lambda*I for the given inflation."""
+    return inflate(code, strategy) + FieldMatrix.identity(code.field, code.N).scaled(lam)
 
 
 def build_standard(
@@ -171,19 +176,20 @@ def build_standard(
         raise ValueError(
             f"build_standard accepts null_rows or row_combinations, got {strategy.kind!r}"
         )
-    return _finish(code, lam, inflate(code, strategy), form)
+    return _finish(code, lam, _inflated_plus_lambda(code, strategy, lam), form)
 
 
 def build_cyclic(code: CodeSpec, lam: int) -> TransformSpec:
     """Transform whose H_e is the full circulant of the check polynomial."""
-    return _finish(code, lam, inflate(code, InflationStrategy.cyclic_shifts()), FORM_CYCLIC)
+    strategy = InflationStrategy.cyclic_shifts()
+    return _finish(code, lam, _inflated_plus_lambda(code, strategy, lam), FORM_CYCLIC)
 
 
 def build_extended_golay(lam: int = 1) -> TransformSpec:
     """The length-12 combination-inflated transform over GF(3)."""
     code = golay_spec("extended_ternary")
     strategy = InflationStrategy.row_combinations(EXTENDED_GOLAY_COMBINATION_PAIRS)
-    return _finish(code, lam, inflate(code, strategy), FORM_STANDARD_COMBO)
+    return _finish(code, lam, _inflated_plus_lambda(code, strategy, lam), FORM_STANDARD_COMBO)
 
 
 def build_appendix_systematic(p_block: FieldMatrix, lam: int) -> TransformSpec:
@@ -198,9 +204,8 @@ def build_appendix_systematic(p_block: FieldMatrix, lam: int) -> TransformSpec:
 
     with rectangular identities where the blocks are not square. For
     N - k <= k this equals the null-row standard build on the same H.
-    lambda = 0 always gives a singular matrix and is rejected up front;
-    the determinant is still checked because unusual P blocks can be
-    singular at nonzero lambda too.
+    lambda = 0 always gives a singular matrix, and unusual P blocks can
+    be singular at nonzero lambda too; the determinant check rejects both.
     """
     field = p_block.field
     k, r = p_block.shape
@@ -210,8 +215,6 @@ def build_appendix_systematic(p_block: FieldMatrix, lam: int) -> TransformSpec:
         p_block.transpose().scaled(-1), FieldMatrix.identity(field, r)
     )
     code = CodeSpec(field, n, k, None, h_matrix, None, f"systematic({n},{k})")
-    if lam == 0:
-        raise EigenvalueUnsuitableError(0, code.label)
     p = field.p
     top = np.hstack(
         [
@@ -225,18 +228,7 @@ def build_appendix_systematic(p_block: FieldMatrix, lam: int) -> TransformSpec:
             lam * np.eye(k, dtype=np.int64),
         ]
     )
-    t_matrix = FieldMatrix(field, np.vstack([top, bottom]))
-    det = determinant(t_matrix)
-    if det == 0:
-        raise EigenvalueUnsuitableError(lam, code.label)
-    return TransformSpec(
-        code=code,
-        lam=lam,
-        form=FORM_APPENDIX,
-        matrix=t_matrix,
-        inverse_matrix=inverse(t_matrix),
-        det=det,
-    )
+    return _finish(code, lam, FieldMatrix(field, np.vstack([top, bottom])), FORM_APPENDIX)
 
 
 # -- eigenstructure ------------------------------------------------------------
@@ -277,11 +269,6 @@ def is_perfect_transform(t: TransformSpec) -> tuple[bool, int | None, int]:
 
 
 # -- application routes -----------------------------------------------------------
-
-
-def rotate_right(v, m: int) -> np.ndarray:
-    """Cyclic right shift: entry i of the result is v[(i - m) mod n]."""
-    return np.roll(np.asarray(v, dtype=np.int64), m)
 
 
 def first_column_poly(t: TransformSpec) -> FieldPoly:

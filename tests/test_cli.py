@@ -1,6 +1,7 @@
 """End-to-end runs of the command line through main()."""
 
 import json
+import time
 
 import pytest
 
@@ -114,6 +115,14 @@ def test_verify_everything(capsys):
     assert " FAIL " not in out
 
 
+def test_verify_dynamic_hamming_target(capsys):
+    # N = 31, k = 28: far too many codewords to enumerate
+    status, out, _ = run(capsys, "verify", "--code", "hamming", "--p", "5", "--m", "3", "--trials", "20")
+    assert status == 0
+    assert "CHECK codeword_invariance PASS expected=all 37252902984619140625 codewords fixed" in out
+    assert out.splitlines()[-1] == "verified 1 target(s), 8 checks: all passed"
+
+
 def test_verify_no_match(capsys):
     status, out, err = run(capsys, "verify", "--code", "golay", "--p", "5")
     assert status == 1
@@ -148,6 +157,7 @@ def test_info_control_is_not_perfect(capsys):
         (["gen", "--code", "golay", "--p", "2", "--form", "extended"], "GF(3)"),
         (["gen", "--code", "control", "--form", "cyclic"], "standard"),
         (["gen", "--code", "hamming", "--p", "4", "--m", "2"], "prime"),
+        (["gen", "--code", "hamming", "--p", "2097169", "--m", "2"], "too large"),
     ],
 )
 def test_error_paths_exit_one(capsys, argv, needle):
@@ -155,6 +165,17 @@ def test_error_paths_exit_one(capsys, argv, needle):
     assert status == 1
     assert err.startswith("error:")
     assert needle in err
+
+
+def test_oversized_modulus_in_transform_file(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"p": 1000000000000000003, "rows": [[1]]}')
+    start = time.perf_counter()
+    status, out, err = run(capsys, "apply", "--transform", str(path), "--vector", "1")
+    assert time.perf_counter() - start < 1.0
+    assert status == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "too large" in err
 
 
 def test_bad_choice_is_argparse_error(capsys):

@@ -8,13 +8,11 @@ from perfectnt.codes import (
     all_codewords,
     cyclic_hamming_parity_poly,
     cyclic_hamming_spec,
-    format_code_spec,
     generator_from_parity,
     golay_spec,
     hamming74_systematic,
     hamming_parity_check,
     minimum_distance,
-    parse_code_spec,
     perfect_witness,
     shortened_hamming_6_3,
     sphere_packing_sum,
@@ -250,15 +248,3 @@ def test_rank_of_fixtures():
         shortened_hamming_6_3(),
     ]:
         assert rank(spec.H) == spec.N - spec.k
-
-
-def test_code_spec_serialization_roundtrip():
-    spec = golay_spec("ternary_systematic")
-    text = format_code_spec(spec)
-    assert text.splitlines()[0] == "code golay(11,6,5)-systematic p=3 N=11 k=6 d=5"
-    back = parse_code_spec(text)
-    assert back.H == spec.H
-    assert (back.N, back.k, back.d) == (spec.N, spec.k, spec.d)
-    assert back.h is None
-    with pytest.raises(ValueError):
-        parse_code_spec("not a header\n2 1 1\n0\n")

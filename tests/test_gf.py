@@ -1,10 +1,15 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from perfectnt.gf import FieldElement, ModulusMismatchError, PrimeField, is_prime, xgcd
+from perfectnt.gf import MAX_MODULUS, ModulusMismatchError, PrimeField, is_prime
+from perfectnt.matrix import FieldMatrix
+from perfectnt.poly import CyclicRing, FieldPoly
 
 PRIMES = [2, 3, 5, 7, 11, 13]
+LARGEST_PRIME = 2_097_143  # the largest prime below MAX_MODULUS
 
 
 def test_is_prime_small_values():
@@ -19,88 +24,49 @@ def test_nonprime_modulus_rejected(bad):
 
 def test_field_scalar_ops():
     f = PrimeField(7)
-    assert f.add(5, 4) == 2
-    assert f.sub(2, 5) == 4
-    assert f.mul(3, 5) == 1
-    assert f.neg(3) == 4
-    assert f.inv(3) == 5
-    assert f.pow(3, 6) == 1
-    assert f.pow(0, 0) == 1
+    assert [f.inv(a) for a in range(1, 7)] == [1, 4, 5, 2, 3, 6]
+    assert f.inv(-4) == 5  # reduced before inverting
+    assert f.inv(10) == 5
 
 
 def test_inverse_of_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         PrimeField(5).inv(0)
-
-
-def test_negative_exponent_rejected():
-    with pytest.raises(ValueError):
-        PrimeField(5).pow(2, -1)
-
-
-def test_element_canonicalizes():
-    f = PrimeField(5)
-    assert f.element(-3).value == 2
-    assert f.element(12).value == 2
-    assert int(f.element(7)) == 2
-
-
-def test_element_arithmetic():
-    f = PrimeField(7)
-    a, b = f.element(5), f.element(4)
-    assert (a + b).value == 2
-    assert (a - b).value == 1
-    assert (a * b).value == 6
-    assert (-a).value == 2
-    assert (a / b).value == 3  # 5 * 4^-1 = 5 * 2 = 10 = 3
-    assert (a**3).value == 6
-    assert a.inverse().value == 3
-    assert (1 + a).value == 6  # int coercion on either side
-    assert (1 - a).value == 3
-    assert bool(f.element(0)) is False and bool(a) is True
+    with pytest.raises(ZeroDivisionError):
+        PrimeField(5).inv(10)
 
 
 def test_mixed_moduli_rejected():
-    a = PrimeField(5).element(2)
-    b = PrimeField(7).element(2)
+    f5, f7 = PrimeField(5), PrimeField(7)
     with pytest.raises(ModulusMismatchError):
-        _ = a + b
+        _ = FieldMatrix(f5, [[2]]) @ FieldMatrix(f7, [[2]])
     with pytest.raises(ModulusMismatchError):
-        _ = a * b
-
-
-def test_element_rejects_foreign_types():
-    with pytest.raises(TypeError):
-        _ = PrimeField(5).element(2) + "3"
-
-
-@given(
-    st.sampled_from(PRIMES),
-    st.integers(-100, 100),
-    st.integers(-100, 100),
-    st.integers(-100, 100),
-)
-def test_field_axioms(p, x, y, z):
-    f = PrimeField(p)
-    a, b, c = f.element(x), f.element(y), f.element(z)
-    assert (a + b) + c == a + (b + c)
-    assert a * b == b * a
-    assert a * (b + c) == a * b + a * c
-    assert a + (-a) == f.element(0)
+        CyclicRing(3, f5).reduce(FieldPoly((1, 2), f7))
 
 
 @given(st.sampled_from(PRIMES), st.integers(-100, 100))
 def test_inverse_property(p, x):
     f = PrimeField(p)
-    a = f.element(x)
-    if a.value == 0:
+    if x % p == 0:
+        with pytest.raises(ZeroDivisionError):
+            f.inv(x)
         return
-    assert (a * a.inverse()).value == 1
-    assert (a / a).value == 1
+    inv = f.inv(x)
+    assert 0 < inv < p
+    assert (x * inv) % p == 1
+    assert f.inv(inv) == x % p
 
 
-@given(st.integers(1, 10**6), st.integers(1, 10**6))
-def test_xgcd_bezout(a, b):
-    g, s, t = xgcd(a, b)
-    assert s * a + t * b == g
-    assert a % g == 0 and b % g == 0
+def test_modulus_bound():
+    assert PrimeField(LARGEST_PRIME).p == LARGEST_PRIME
+    assert LARGEST_PRIME < MAX_MODULUS == 2**21
+    for bad in (2_097_169, 3_000_017, 2**31 - 1, 2**61 - 1):  # all prime
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(bad)
+
+
+def test_huge_modulus_refused_before_primality_test():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(10**18 + 3)
+    assert time.perf_counter() - start < 0.1

@@ -251,6 +251,21 @@ def test_cayley_hamilton_on_golden_transforms(golden):
         assert np.count_nonzero(acc) == 0, t.code.label
 
 
+def test_exact_at_largest_accepted_modulus():
+    # p**3 and N*(p-1)**2 come closest to 2**63 here; an int64 overflow in
+    # the elimination update or the matrix product would show as a mismatch
+    p = 2_097_143
+    field = PrimeField(p)
+    rng = np.random.default_rng(2024)
+    for _ in range(20):
+        rows = rng.integers(0, p, size=(6, 6)).tolist()
+        m = FieldMatrix(field, rows)
+        assert determinant(m) == int(sympy.Matrix(rows).det()) % p
+        v = rng.integers(0, p, size=6).tolist()
+        want = [sum(a * b for a, b in zip(row, v)) % p for row in rows]
+        assert m.mat_vec(v).tolist() == want
+
+
 def test_multiplicative_order():
     assert multiplicative_order(FieldMatrix.identity(GF3, 4)) == 1
     assert multiplicative_order(FieldMatrix(GF3, [[0, 1], [1, 0]])) == 2

@@ -93,14 +93,6 @@ def test_division_by_zero():
         divmod(FieldPoly.one(GF3), FieldPoly.zero(GF3))
 
 
-def test_evaluate():
-    f = FieldPoly((1, 1, 1, 0, 1), GF2)  # x^4+x^2+x+1
-    assert f.evaluate(1) == 0
-    assert f.evaluate(0) == 1
-    g = FieldPoly((1, 2, 1), GF3)
-    assert g.evaluate(2) == (1 + 4 + 4) % 3
-
-
 def test_rendering():
     assert str(FieldPoly((1, 1, 1, 0, 1), GF2)) == "x^4+x^2+x+1"
     assert str(FieldPoly((1, 0, 1, 2, 2, 2, 1), GF3)) == "x^6+2x^5+2x^4+2x^3+x^2+1"
