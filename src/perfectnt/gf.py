@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# p**3 < 2**63 and N*(p-1)**2 < 2**63 for N < 2**21 whenever p < 2**21.
+# N*(p-1)**2 < 2**63 for N < 2**21 whenever p < 2**21: the binding bound, a
+# length-N dot product. Elimination updates stay below p**2.
 MAX_MODULUS = 2**21
 
 

@@ -4,8 +4,8 @@ Entries are canonical residues held in read-only int64 arrays; products
 are computed with integer matmul followed by a single reduction. That is
 exact because :class:`PrimeField` refuses p >= 2**21
 (:data:`perfectnt.gf.MAX_MODULUS`): a dot product of length N then stays
-below N*(p-1)**2 and an elimination update a - b*inv*c below p**3, both
-under 2**63 for any matrix that fits in memory.
+below N*(p-1)**2, under 2**63 for any matrix that fits in memory, and the
+elimination update (:func:`_clear_column`) keeps its products below p**2.
 
 Algorithms that need to be division-aware (RREF, determinant, inverse)
 pivot with modular inverses. The characteristic polynomial uses the
@@ -37,10 +37,7 @@ class FieldMatrix:
     __slots__ = ("field", "data")
 
     def __init__(self, field: PrimeField, data):
-        arr = np.asarray(data, dtype=np.int64)
-        if arr.ndim != 2:
-            raise ValueError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
-        arr = arr % field.p
+        arr = _residues(field, data, 2, "matrix data must be 2-dimensional")
         arr.setflags(write=False)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "data", arr)
@@ -138,15 +135,23 @@ class FieldMatrix:
         return f"FieldMatrix({self.field!r}, shape={self.shape})"
 
     def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.data)
+        return "\n".join(" ".join(map(str, row)) for row in self.data.tolist())
+
+
+def _residues(field: PrimeField, data, ndim: int, shape_error: str) -> np.ndarray:
+    """`data` as an int64 array of canonical residues with `ndim` dimensions."""
+    try:
+        arr = np.asarray(data, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("entries must lie in the int64 range [-2**63, 2**63)") from None
+    if arr.ndim != ndim:
+        raise ValueError(f"{shape_error}, got shape {arr.shape}")
+    return arr % field.p
 
 
 def as_vector(field: PrimeField, v) -> np.ndarray:
     """Coerce a sequence to a 1-D canonical-residue array over the field."""
-    arr = np.asarray(v, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    return arr % field.p
+    return _residues(field, v, 1, "expected a 1-D vector")
 
 
 def vstack(top: FieldMatrix, bottom: FieldMatrix) -> FieldMatrix:
@@ -166,6 +171,21 @@ def hstack(left: FieldMatrix, right: FieldMatrix) -> FieldMatrix:
 # -- elimination-based algorithms ------------------------------------------
 
 
+def _clear_column(a: np.ndarray, r: int, c: int, hit: np.ndarray, p: int, inv: int) -> None:
+    """Zero column c in rows `hit` by subtracting multiples of pivot row r.
+
+    The one elimination update: the multiplier a[i, c] * inv is reduced first,
+    so every product is below p**2, and only the pivot row's nonzero columns
+    (all >= c) are touched, so sparse rows stay cheap.
+    """
+    if hit.size == 0:
+        return
+    cs = np.flatnonzero(a[r, c:]) + c
+    mult = a[hit, c] if inv == 1 else a[hit, c] * inv % p
+    block = np.ix_(hit, cs)
+    a[block] = (a[block] - mult[:, None] * a[r, cs]) % p
+
+
 def rref(m: FieldMatrix) -> tuple[FieldMatrix, int, tuple[int, ...]]:
     """Reduced row echelon form via Gauss-Jordan with modular pivoting.
 
@@ -181,21 +201,16 @@ def rref(m: FieldMatrix) -> tuple[FieldMatrix, int, tuple[int, ...]]:
     for c in range(cols):
         if r == rows:
             break
-        # locate a nonzero pivot in column c at or below row r
-        pivot_row = -1
-        for i in range(r, rows):
-            if a[i, c] != 0:
-                pivot_row = i
-                break
-        if pivot_row < 0:
+        nz = np.flatnonzero(a[:, c])
+        k = nz.searchsorted(r)
+        if k == nz.size:
             continue
+        # a swap moves row r, zero in column c, so nz stays valid
+        pivot_row = int(nz[k])
         if pivot_row != r:
             a[[r, pivot_row]] = a[[pivot_row, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        for i in range(rows):
-            if i != r and a[i, c] != 0:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        _clear_column(a, r, c, nz[nz != pivot_row], p, 1)
         pivots.append(c)
         r += 1
     return FieldMatrix(m.field, a), r, tuple(pivots)
@@ -215,19 +230,15 @@ def kernel_basis(m: FieldMatrix) -> FieldMatrix:
     matrix.
     """
     reduced, rk, pivots = rref(m)
-    n = m.cols
-    free = [c for c in range(n) if c not in set(pivots)]
-    if not free:
-        return FieldMatrix.zeros(m.field, 0, n)
-    p = m.field.p
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1
-        for ri, pc in enumerate(pivots):
-            basis[bi, pc] = (-reduced.data[ri, fc]) % p
+    free = np.setdiff1d(np.arange(m.cols), pivots)
+    if not free.size:
+        return FieldMatrix.zeros(m.field, 0, m.cols)
+    basis = np.zeros((free.size, m.cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, list(pivots)] = -reduced.data[:rk, free].T % m.field.p
     canonical, brank, _ = rref(FieldMatrix(m.field, basis))
     # the free-column basis is always independent
-    assert brank == len(free)
+    assert brank == free.size
     return canonical
 
 
@@ -237,24 +248,17 @@ def determinant(m: FieldMatrix) -> int:
         raise ValueError(f"determinant needs a square matrix, got {m.shape}")
     p = m.field.p
     a = m.data.copy()
-    n = m.rows
     det = 1
-    for c in range(n):
-        pivot_row = -1
-        for i in range(c, n):
-            if a[i, c] != 0:
-                pivot_row = i
-                break
-        if pivot_row < 0:
+    for c in range(m.rows):
+        nz = np.flatnonzero(a[c:, c]) + c
+        if nz.size == 0:
             return 0
+        pivot_row = int(nz[0])
         if pivot_row != c:
             a[[c, pivot_row]] = a[[pivot_row, c]]
             det = (-det) % p
         det = (det * int(a[c, c])) % p
-        inv = pow(int(a[c, c]), -1, p)
-        for i in range(c + 1, n):
-            if a[i, c] != 0:
-                a[i] = (a[i] - a[i, c] * inv * a[c]) % p
+        _clear_column(a, c, c, nz[1:], p, pow(int(a[c, c]), -1, p))
     return det
 
 
@@ -266,9 +270,7 @@ def inverse(m: FieldMatrix) -> FieldMatrix:
     aug = FieldMatrix(m.field, np.hstack([m.data, np.eye(n, dtype=np.int64)]))
     reduced, rk, _ = rref(aug)
     if rk < n or not np.array_equal(reduced.data[:, :n], np.eye(n, dtype=np.int64)):
-        raise SingularMatrixError(
-            f"matrix is singular over {m.field!r} (determinant = 0)", det=0
-        )
+        raise SingularMatrixError(f"matrix is singular over {m.field!r} (determinant = 0)", det=0)
     return FieldMatrix(m.field, reduced.data[:, n:])
 
 
@@ -353,11 +355,9 @@ def circulant_from_first_row(field: PrimeField, first_row) -> FieldMatrix:
 
 def format_matrix_text(m: FieldMatrix, header: str | None = None) -> str:
     """Text form: optional header line, then "p rows cols", then the rows."""
-    lines = [] if header is None else [header]
-    lines.append(f"{m.field.p} {m.rows} {m.cols}")
-    for i in range(m.rows):
-        lines.append(" ".join(str(x) for x in m.data[i]))
-    return "\n".join(lines) + "\n"
+    head = [] if header is None else [header]
+    rows = (" ".join(map(str, row)) for row in m.data.tolist())
+    return "\n".join([*head, f"{m.field.p} {m.rows} {m.cols}", *rows]) + "\n"
 
 
 def format_matrix_json(m: FieldMatrix) -> str:

@@ -1,7 +1,9 @@
 """End-to-end runs of the command line through main()."""
 
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,13 @@ from perfectnt.matrix import FieldMatrix, parse_matrix
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
+
+# sha256 of stdout for the large builds, recorded by the benchmark (read only)
+DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text(encoding="utf-8")
+)["sha256"]
+CYCLIC255 = ["--code", "hamming", "--p", "2", "--m", "8", "--form", "cyclic"]
+HAMMING400 = ["--code", "hamming", "--p", "7", "--m", "4"]
 
 
 def run(capsys, *argv):
@@ -168,14 +177,39 @@ def test_error_paths_exit_one(capsys, argv, needle):
 
 
 def test_oversized_modulus_in_transform_file(capsys, tmp_path):
-    path = tmp_path / "big.json"
-    path.write_text('{"p": 1000000000000000003, "rows": [[1]]}')
-    start = time.perf_counter()
-    status, out, err = run(capsys, "apply", "--transform", str(path), "--vector", "1")
-    assert time.perf_counter() - start < 1.0
-    assert status == 1 and out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error:") and "too large" in err
+    # the modulus case must be refused before the primality test runs; the
+    # entry cases used to raise OverflowError when converted to int64
+    cases = [
+        ("apply", "big.json", '{"p": 1000000000000000003, "rows": [[1]]}', "too large"),
+        ("apply", "entry.json", '{"p": 7, "rows": [[100000000000000000000]]}', "int64"),
+        ("invert", "entry.json", '{"p": 7, "rows": [[100000000000000000000]]}', "int64"),
+        ("apply", "entry.txt", "h\n7 1 1\n100000000000000000000\n", "int64"),
+        ("invert", "entry.txt", "h\n7 1 1\n100000000000000000000\n", "int64"),
+    ]
+    for command, name, text, needle in cases:
+        path = tmp_path / name
+        path.write_text(text)
+        start = time.perf_counter()
+        status, out, err = run(capsys, command, "--transform", str(path), "--vector", "1")
+        assert time.perf_counter() - start < 1.0
+        assert status == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and needle in err
+
+
+@pytest.mark.parametrize(
+    "key,argv",
+    [
+        ("gen-cyclic255-lambda1", ["gen", *CYCLIC255, "--lambda", "1"]),
+        ("gen-hamming400-lambda3", ["gen", *HAMMING400, "--lambda", "3"]),
+        ("eigen-cyclic255", ["eigen", *CYCLIC255]),
+        ("eigen-hamming400", ["eigen", *HAMMING400]),
+    ],
+)
+def test_large_output_matches_recorded_digest(capsys, key, argv):
+    status, out, err = run(capsys, *argv)
+    assert status == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[key]
 
 
 def test_bad_choice_is_argparse_error(capsys):

@@ -3,6 +3,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from perfectnt import reference
 from perfectnt.gf import ModulusMismatchError, PrimeField
@@ -61,6 +62,25 @@ def rect_matrices(draw, max_dim=6):
 
 
 @st.composite
+def eliminable_matrices(draw):
+    """Up to 30 x 40 over small and near-maximal p, sparse to full, with
+    zero columns and (scaled) duplicate rows, so elimination meets empty
+    pivot columns, sparse pivot rows and rank deficiency."""
+    p = draw(st.sampled_from([2, 3, 7, 2_097_143]))
+    r = draw(st.integers(1, 30))
+    c = draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.05, 0.2, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, p, size=(r, c)) * (rng.random((r, c)) < density)
+    a[:, draw(st.lists(st.integers(0, c - 1), max_size=3))] = 0
+    for src, dst, scale in draw(
+        st.lists(st.tuples(st.integers(0, r - 1), st.integers(0, r - 1), st.integers(1, p - 1)), max_size=3)
+    ):
+        a[dst] = a[src] * scale % p
+    return FieldMatrix(PrimeField(p), a)
+
+
+@st.composite
 def square_pairs(draw, max_n=4):
     p = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(1, max_n))
@@ -84,6 +104,8 @@ def test_constructor_normalizes_and_freezes():
         m.field = GF2
     with pytest.raises(ValueError):
         FieldMatrix(GF3, [1, 2, 3])  # 1-D
+    with pytest.raises(ValueError, match="int64"):
+        FieldMatrix(GF3, [[10**20]])
 
 
 def test_shape_helpers():
@@ -121,6 +143,8 @@ def test_mat_vec():
         m.mat_vec([1, 0])
     with pytest.raises(ValueError):
         as_vector(GF2, [[1, 0]])
+    with pytest.raises(ValueError, match="int64"):
+        as_vector(GF2, [-(10**20), 1])
 
 
 def test_stacking():
@@ -223,6 +247,24 @@ def test_determinant_is_multiplicative(pair):
     assert determinant(a @ b) == (determinant(a) * determinant(b)) % p
 
 
+@settings(deadline=None)
+@given(eliminable_matrices())
+def test_elimination_matches_sympy(m):
+    p = m.field.p
+    gf = sympy.GF(p)
+    want, want_pivots = DomainMatrix.from_list(m.tolist(), gf).rref()
+    got, rk, pivots = rref(m)
+    # sympy prints symmetric representatives; int(x) % p is the residue
+    assert got.tolist() == [[int(x) % p for x in row] for row in want.to_list()]
+    assert pivots == tuple(want_pivots) and rk == len(want_pivots)
+    basis = kernel_basis(m)
+    assert basis.rows == m.cols - rk and not (m.data @ basis.data.T % p).any()
+    k = min(m.shape)
+    square = m.data[:k, :k]
+    want_det = int(DomainMatrix.from_list(square.tolist(), gf).det()) % p
+    assert determinant(FieldMatrix(m.field, square)) == want_det
+
+
 @given(rect_matrices())
 def test_rank_nullity(m):
     assert rank(m) + kernel_basis(m).rows == m.cols
@@ -252,8 +294,9 @@ def test_cayley_hamilton_on_golden_transforms(golden):
 
 
 def test_exact_at_largest_accepted_modulus():
-    # p**3 and N*(p-1)**2 come closest to 2**63 here; an int64 overflow in
-    # the elimination update or the matrix product would show as a mismatch
+    # N*(p-1)**2 comes closest to 2**63 here (elimination products stay below
+    # p**2); an int64 overflow in the elimination update or the matrix
+    # product would show as a mismatch
     p = 2_097_143
     field = PrimeField(p)
     rng = np.random.default_rng(2024)
