@@ -15,7 +15,6 @@ import argparse
 import sys
 
 from .codes import (
-    UnsupportedParametersError,
     cyclic_hamming_spec,
     golay_spec,
     hamming74_systematic,
@@ -23,9 +22,7 @@ from .codes import (
     perfect_witness,
     shortened_hamming_6_3,
 )
-from .gf import ModulusMismatchError
 from .matrix import (
-    SingularMatrixError,
     format_matrix_json,
     format_matrix_text,
     inverse,
@@ -34,7 +31,6 @@ from .matrix import (
 )
 from .transforms import (
     EXTENDED_GOLAY_COMBINATION_PAIRS,
-    EigenvalueUnsuitableError,
     InflationStrategy,
     build_cyclic,
     build_extended_golay,
@@ -278,18 +274,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (
-        EigenvalueUnsuitableError,
-        UnsupportedParametersError,
-        SingularMatrixError,
-        ModulusMismatchError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

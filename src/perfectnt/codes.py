@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .gf import PrimeField
+from .gf import PrimeField, is_prime
 from .matrix import FieldMatrix, circulant_from_first_row, kernel_basis, rref
 from .poly import FieldPoly, reversed_coefficient_row
 
@@ -106,19 +106,12 @@ def hamming_parity_check(p: int, m: int) -> CodeSpec:
     return CodeSpec(field, n, k, 3, h_matrix, None, f"hamming({n},{k},3)")
 
 
-def _order_is(g: FieldPoly, e: int) -> bool:
-    """True when the multiplicative order of x modulo g is exactly e."""
-    one = FieldPoly.one(g.field)
-
-    def divides_x_pow(d: int) -> bool:
-        return ((FieldPoly.monomial(g.field, d) - one) % g).is_zero()
-
-    if not divides_x_pow(e):
-        return False
-    for d in range(1, e):
-        if e % d == 0 and divides_x_pow(d):
-            return False
-    return True
+def _x_power_is_one(g: FieldPoly, e: int) -> bool:
+    """True when x^e = 1 modulo the monic g (square-and-multiply on remainders)."""
+    x, r = FieldPoly.monomial(g.field, 1), FieldPoly.one(g.field)
+    for bit in bin(e)[2:]:
+        r = (r * r * x if bit == "1" else r * r) % g
+    return r.coeffs == (1,)
 
 
 def _is_irreducible(g: FieldPoly) -> bool:
@@ -140,10 +133,12 @@ def cyclic_hamming_parity_poly(p: int, m: int) -> FieldPoly:
     g is chosen among the monic degree-m irreducible divisors of
     x^N - 1 whose root has multiplicative order exactly N, taking the
     lexicographically smallest coefficient list with the leading
-    coefficient compared first. A cyclic code equivalent to the Hamming
-    code only exists when gcd(N, p-1) = 1 (always true for p = 2);
-    otherwise the order-N construction yields a code with repeated
-    projective points and minimum distance 2, so it is rejected.
+    coefficient compared first: the candidates are visited in that order
+    and the first that passes is used. A cyclic code equivalent to the
+    Hamming code only exists when gcd(N, p-1) = 1 (always true for
+    p = 2); otherwise the order-N construction yields a code with
+    repeated projective points and minimum distance 2, so it is
+    rejected.
     """
     field = PrimeField(p)
     if m < 2:
@@ -155,23 +150,21 @@ def cyclic_hamming_parity_poly(p: int, m: int) -> FieldPoly:
             f"of length {n} over GF({p}) is equivalent to the Hamming code"
         )
     modulus = FieldPoly.monomial(field, n) - FieldPoly.one(field)
-    candidates = []
-    for low in product(range(p), repeat=m):
-        g = FieldPoly(low + (1,), field)
-        if not (modulus % g).is_zero():
-            continue
-        if not _is_irreducible(g):
-            continue
-        if not _order_is(g, n):
-            continue
-        candidates.append(g)
-    if not candidates:
-        raise UnsupportedParametersError(
-            f"no cyclic representation: no monic irreducible degree-{m} divisor of "
-            f"x^{n}-1 over GF({p}) has order {n}"
-        )
-    g = min(candidates, key=lambda f: tuple(reversed(f.coeffs)))
-    return modulus // g
+    cofactors = [n // q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
+    for high in product(range(p), repeat=m):
+        g = FieldPoly(tuple(reversed(high)) + (1,), field)
+        # x^n = 1 mod g means g | x^n - 1; the order of x is exactly n
+        # when x^(n/q) != 1 for every prime q | n
+        if (
+            _x_power_is_one(g, n)
+            and not any(_x_power_is_one(g, d) for d in cofactors)
+            and _is_irreducible(g)
+        ):
+            return modulus // g
+    raise UnsupportedParametersError(
+        f"no cyclic representation: no monic irreducible degree-{m} divisor of "
+        f"x^{n}-1 over GF({p}) has order {n}"
+    )
 
 
 def parity_rows_from_check_poly(h: FieldPoly, n: int) -> FieldMatrix:

@@ -364,6 +364,11 @@ def format_matrix_json(m: FieldMatrix) -> str:
     return json.dumps({"p": m.field.p, "rows": m.data.tolist()})
 
 
+def _is_json_int(x) -> bool:
+    """A JSON integer; int() would also truncate 7.9 and accept "7" or true."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_matrix(text: str) -> FieldMatrix:
     """Parse either serialized matrix form.
 
@@ -378,7 +383,13 @@ def parse_matrix(text: str) -> FieldMatrix:
         obj = json.loads(s)
         if "p" not in obj or "rows" not in obj:
             raise ValueError('JSON matrix must have "p" and "rows" keys')
-        return FieldMatrix(PrimeField(int(obj["p"])), obj["rows"])
+        p, rows = obj["p"], obj["rows"]
+        rows_ok = isinstance(rows, list) and all(
+            isinstance(row, list) and all(map(_is_json_int, row)) for row in rows
+        )
+        if not (_is_json_int(p) and rows_ok):
+            raise ValueError('JSON matrix needs an integer "p" and "rows" of integer lists')
+        return FieldMatrix(PrimeField(p), rows)
     lines = [ln.strip() for ln in s.splitlines() if ln.strip()]
     first = lines[0].split()
     if not all(tok.lstrip("-").isdigit() for tok in first):

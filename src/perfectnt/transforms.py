@@ -33,7 +33,7 @@ from .matrix import (
     kernel_basis,
     vstack,
 )
-from .poly import CyclicRing, FieldPoly, reversed_coefficient_row
+from .poly import reversed_coefficient_row
 
 FORM_STANDARD_NULLROW = "standard_nullrow"
 FORM_STANDARD_COMBO = "standard_combo"
@@ -271,26 +271,25 @@ def is_perfect_transform(t: TransformSpec) -> tuple[bool, int | None, int]:
 # -- application routes -----------------------------------------------------------
 
 
-def first_column_poly(t: TransformSpec) -> FieldPoly:
-    """The transform's impulse response as a ring element."""
-    return FieldPoly(tuple(int(x) for x in t.first_column()), t.field)
-
-
 def apply_via_polynomial(t: TransformSpec, v) -> np.ndarray:
     """Apply a cyclic transform as multiplication in GF(p)[x]/(x^n - 1).
 
-    Independent of the matrix product route: the input vector and the
-    impulse response are multiplied as ring elements and the coefficient
-    vector comes back. Must agree with apply() entry for entry.
+    Independent of the matrix product route: only the impulse response
+    c (the first column) is read, and c(x) * v(x) with exponents folded
+    mod n is the sum of c_j * rot_j(v) over the nonzero c_j. v is one
+    length-n vector or a (rows, n) batch; the result has v's shape and
+    must agree with apply() entry for entry.
     """
     if t.form != FORM_CYCLIC:
         raise ValueError(f"polynomial application needs a cyclic transform, got {t.form}")
-    ring = CyclicRing(t.n, t.field)
-    vec = as_vector(t.field, v)
-    if vec.shape[0] != t.n:
-        raise ValueError(f"expected a length-{t.n} vector, got {vec.shape[0]}")
-    product = ring.mul(ring.from_vector(vec.tolist()), first_column_poly(t))
-    return np.array(product.padded(t.n), dtype=np.int64)
+    vs = FieldMatrix(t.field, v).data if np.ndim(v) == 2 else as_vector(t.field, v)
+    if vs.shape[-1] != t.n:
+        raise ValueError(f"expected a length-{t.n} vector, got {vs.shape[-1]}")
+    c = t.first_column()
+    out = np.zeros_like(vs)
+    for j in np.flatnonzero(c):
+        out += c[j] * np.roll(vs, j, axis=-1)
+    return out % t.field.p
 
 
 # -- property verification ----------------------------------------------------------
@@ -344,16 +343,23 @@ def verify_properties(t: TransformSpec, trials: int = 1000, seed: int = 1234) ->
     tmat = t.matrix.data
     report = PropertyReport(label=t.code.label, trials=trials, seed=seed)
 
-    # linearity, fully batched
+    def count_failures(name: str, failed: np.ndarray, note: str = "") -> None:
+        """One check over all trials; `failed` holds one flag per trial."""
+        fails = int(np.count_nonzero(failed))
+        report.checks.append(
+            CheckResult(
+                name, fails == 0, "0/%d failures" % trials, f"{fails}/{trials} failures", note
+            )
+        )
+
+    # linearity
     vs = rng.integers(0, p, size=(trials, n), dtype=np.int64)
     ws = rng.integers(0, p, size=(trials, n), dtype=np.int64)
     ab = rng.integers(0, p, size=(trials, 2), dtype=np.int64)
+    images = (vs @ tmat.T) % p
     lhs = (((ab[:, 0:1] * vs + ab[:, 1:2] * ws) % p) @ tmat.T) % p
-    rhs = (ab[:, 0:1] * ((vs @ tmat.T) % p) + ab[:, 1:2] * ((ws @ tmat.T) % p)) % p
-    fails = int(np.count_nonzero(np.any(lhs != rhs, axis=1)))
-    report.checks.append(
-        CheckResult("linearity", fails == 0, "0/%d failures" % trials, f"{fails}/{trials} failures")
-    )
+    rhs = (ab[:, 0:1] * images + ab[:, 1:2] * ((ws @ tmat.T) % p)) % p
+    count_failures("linearity", np.any(lhs != rhs, axis=1))
 
     # impulse response
     delta = np.zeros(n, dtype=np.int64)
@@ -370,56 +376,26 @@ def verify_properties(t: TransformSpec, trials: int = 1000, seed: int = 1234) ->
     )
 
     if t.form == FORM_CYCLIC:
-        shift_idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-
-        # time shift: T(rot_m v) == rot_m(T v) for every m
-        fails = 0
-        for v in vs:
-            shifted_inputs = v[shift_idx]  # row m = rot_m(v)
-            out = (shifted_inputs @ tmat.T) % p
-            image = (tmat @ v) % p
-            want = image[shift_idx]
-            if not np.array_equal(out, want):
-                fails += 1
-        report.checks.append(
-            CheckResult(
-                "time_shift",
-                fails == 0,
-                "0/%d failures" % trials,
-                f"{fails}/{trials} failures",
-                note="all shifts per trial",
-            )
-        )
-
-        # frequency shift: inverse converts shifted images back to shifted inputs
+        # time shift: T(rot_m v) == rot_m(T v); frequency shift: the inverse
+        # turns rot_m(T v) back into rot_m v. A trial fails on any shift m.
         tinv = t.inverse_matrix.data
-        fails = 0
-        for v in vs:
-            image = (tmat @ v) % p
-            shifted_images = image[shift_idx]
-            back = (shifted_images @ tinv.T) % p
-            want = v[shift_idx]
-            if not np.array_equal(back, want):
-                fails += 1
-        report.checks.append(
-            CheckResult(
-                "frequency_shift",
-                fails == 0,
-                "0/%d failures" % trials,
-                f"{fails}/{trials} failures",
-                note="all shifts per trial",
-            )
-        )
+        time_failed = np.zeros(trials, dtype=bool)
+        freq_failed = np.zeros(trials, dtype=bool)
+        for m in range(n):
+            shifted_vs = np.roll(vs, m, axis=1)
+            shifted_images = np.roll(images, m, axis=1)
+            time_failed |= np.any((shifted_vs @ tmat.T) % p != shifted_images, axis=1)
+            freq_failed |= np.any((shifted_images @ tinv.T) % p != shifted_vs, axis=1)
+        count_failures("time_shift", time_failed, "all shifts per trial")
+        count_failures("frequency_shift", freq_failed, "all shifts per trial")
 
         # constant sequences scale by the row sum (exact over all residues)
         row_sums = np.unique(tmat.sum(axis=1) % p)
         s = int(row_sums[0])
-        uniform = row_sums.shape[0] == 1
-        ok = uniform
-        for r in range(p):
-            got_const = (tmat @ np.full(n, r, dtype=np.int64)) % p
-            if not np.array_equal(got_const, np.full(n, (r * s) % p)):
-                ok = False
+        constants = np.repeat(np.arange(p, dtype=np.int64)[:, None], n, axis=1)
+        ok = row_sums.shape[0] == 1 and np.array_equal(
+            (constants @ tmat.T) % p, (constants * s) % p
+        )
         weight_figure = None
         if t.code.h is not None:
             weight_figure = sum(1 for c in t.code.h.coeffs if c) % p
@@ -437,18 +413,7 @@ def verify_properties(t: TransformSpec, trials: int = 1000, seed: int = 1234) ->
         )
 
         # matrix route vs polynomial route
-        fails = 0
-        for v in vs:
-            if not np.array_equal((tmat @ v) % p, apply_via_polynomial(t, v)):
-                fails += 1
-        report.checks.append(
-            CheckResult(
-                "polynomial_route",
-                fails == 0,
-                "0/%d failures" % trials,
-                f"{fails}/{trials} failures",
-            )
-        )
+        count_failures("polynomial_route", np.any(images != apply_via_polynomial(t, vs), axis=1))
 
     return report
 

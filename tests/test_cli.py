@@ -185,6 +185,12 @@ def test_oversized_modulus_in_transform_file(capsys, tmp_path):
         ("invert", "entry.json", '{"p": 7, "rows": [[100000000000000000000]]}', "int64"),
         ("apply", "entry.txt", "h\n7 1 1\n100000000000000000000\n", "int64"),
         ("invert", "entry.txt", "h\n7 1 1\n100000000000000000000\n", "int64"),
+        # JSON values that int() would truncate or convert are refused too
+        ("apply", "float.json", '{"p": 7.9, "rows": [[1.5, 0], [0, 1]]}', "integer"),
+        ("apply", "entry.json", '{"p": 7, "rows": [[1.5, 0], [0, 1]]}', "integer"),
+        ("apply", "str.json", '{"p": "7", "rows": [["1", 0], [0, 1]]}', "integer"),
+        ("invert", "bool.json", '{"p": 7, "rows": [[true, 0], [0, 1]]}', "integer"),
+        ("apply", "rows.json", '{"p": 7, "rows": 5}', "integer"),
     ]
     for command, name, text, needle in cases:
         path = tmp_path / name

@@ -72,6 +72,31 @@ def test_cyclic_hamming_parity_poly(p, m, expected):
     assert (modulus % h).is_zero()
 
 
+@pytest.mark.parametrize(
+    "p,m,expected",
+    [
+        (2, 2, (1, 1, 1)),
+        (2, 3, (1, 1, 0, 1)),
+        (2, 4, (1, 1, 0, 0, 1)),
+        (2, 5, (1, 0, 1, 0, 0, 1)),
+        (2, 6, (1, 1, 0, 0, 0, 0, 1)),
+        (2, 7, (1, 1, 0, 0, 0, 0, 0, 1)),
+        (2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1)),
+        (3, 3, (2, 2, 0, 1)),
+        (3, 5, (2, 2, 0, 0, 0, 1)),
+        (5, 3, (4, 1, 0, 1)),
+        (11, 3, (10, 4, 0, 1)),
+        (17, 3, (16, 3, 0, 1)),
+    ],
+)
+def test_cyclic_hamming_generator_poly(p, m, expected):
+    # every (p, m) with N <= 400 that has a cyclic form; g ascending
+    field = PrimeField(p)
+    n = (p**m - 1) // (p - 1)
+    modulus = FieldPoly.monomial(field, n) - FieldPoly.one(field)
+    assert (modulus // cyclic_hamming_parity_poly(p, m)).coeffs == expected
+
+
 def test_cyclic_hamming_rejects_small_m():
     with pytest.raises(UnsupportedParametersError):
         cyclic_hamming_parity_poly(3, 1)

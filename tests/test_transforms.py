@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,8 @@ from perfectnt.codes import (
     shortened_hamming_6_3,
 )
 from perfectnt.gf import PrimeField
-from perfectnt.matrix import FieldMatrix, kernel_basis, parse_matrix
+from perfectnt.matrix import FieldMatrix, determinant, inverse, kernel_basis, parse_matrix
+from perfectnt.poly import CyclicRing, FieldPoly
 from perfectnt.transforms import (
     EXTENDED_GOLAY_COMBINATION_PAIRS,
     EigenvalueUnsuitableError,
@@ -22,7 +25,6 @@ from perfectnt.transforms import (
     build_standard,
     eigen_candidates,
     eigenspace,
-    first_column_poly,
     format_transform,
     inflate,
     is_perfect_transform,
@@ -156,18 +158,26 @@ def test_apply_via_polynomial_agrees(golden):
         for _ in range(25):
             v = rng.integers(0, t.field.p, size=t.n)
             assert np.array_equal(apply_via_polynomial(t, v), t.apply(v)), name
+        # a batch: row by row the ring product with the first column and apply()
+        ring = CyclicRing(t.n, t.field)
+        column = FieldPoly(tuple(t.first_column().tolist()), t.field)
+        batch = rng.integers(0, t.field.p, size=(25, t.n))
+        out = apply_via_polynomial(t, batch)
+        assert out.shape == (25, t.n), name
+        for v, row in zip(batch, out):
+            product = ring.mul(ring.from_vector(v.tolist()), column)
+            assert row.tolist() == list(product.padded(t.n)), name
+            assert np.array_equal(row, t.apply(v)), name
     with pytest.raises(ValueError):
         apply_via_polynomial(golden["hamming74"], [0] * 7)
     with pytest.raises(ValueError):
         apply_via_polynomial(golden["hamming7-cyclic"], [0] * 6)
-
-
-def test_first_column_poly():
-    from perfectnt.codes import cyclic_hamming_spec
-
-    t = build_cyclic(cyclic_hamming_spec(2, 3), 1)
-    assert first_column_poly(t).coeffs == (0, 0, 0, 1, 1, 1)
-    assert str(first_column_poly(t)) == "x^5+x^4+x^3"
+    with pytest.raises(ValueError):
+        apply_via_polynomial(golden["hamming7-cyclic"], [[0] * 6] * 2)
+    with pytest.raises(ValueError, match="int64"):
+        apply_via_polynomial(golden["hamming7-cyclic"], [10**20] + [0] * 6)
+    with pytest.raises(ValueError, match="int64"):
+        apply_via_polynomial(golden["hamming7-cyclic"], [[10**20] + [0] * 6])
 
 
 def test_impulse_is_first_column(golden):
@@ -194,6 +204,27 @@ def test_verify_properties_all_pass(golden):
         else:
             assert {"linearity", "impulse_response"} <= names
             assert "time_shift" not in names
+
+
+def test_property_failures_count_trials(golden):
+    # swapping two columns breaks the circulant: counts are failing trials
+    # (any shift), not failing shifts, and the polynomial route reads only
+    # the first column, so it fails exactly where the images differ
+    t = golden["hamming7-cyclic"]
+    m = t.matrix.data.copy()
+    m[:, [2, 5]] = m[:, [5, 2]]
+    m = FieldMatrix(t.field, m)
+    broken = dataclasses.replace(t, matrix=m, inverse_matrix=inverse(m), det=determinant(m))
+    report = verify_properties(broken, trials=200, seed=3)
+    got = {c.name: (c.passed, c.got) for c in report.checks}
+    assert got == {
+        "linearity": (True, "0/200 failures"),
+        "impulse_response": (True, "match"),
+        "time_shift": (False, "196/200 failures"),
+        "frequency_shift": (False, "196/200 failures"),
+        "constant_sequence": (True, "match"),
+        "polynomial_route": (False, "105/200 failures"),
+    }
 
 
 def test_check_line_format():
