@@ -190,6 +190,8 @@ def _cmd_eigen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise CliError(f"--trials must be at least 1, got {args.trials}")
     targets = select_targets(args.code, args.p, args.m, args.form)
     if not targets:
         raise CliError("no verification target matches the selector")

@@ -22,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .gf import PrimeField, is_prime
-from .matrix import FieldMatrix, circulant_from_first_row, kernel_basis, rref
+from .matrix import FieldMatrix, circulant_from_first_row, kernel_basis, mulmod, rref
 from .poly import FieldPoly, reversed_coefficient_row
 
 
@@ -324,7 +324,7 @@ def all_codewords(spec: CodeSpec) -> np.ndarray:
         return np.zeros((1, spec.N), dtype=np.int64)
     gen = generator_from_parity(spec)
     messages = np.array(list(product(range(p), repeat=spec.k)), dtype=np.int64)
-    return (messages @ gen.data) % p
+    return mulmod(messages, gen, p)
 
 
 def minimum_distance(spec: CodeSpec) -> int:

@@ -1,17 +1,17 @@
 """Prime fields GF(p) and the bound on the moduli this package accepts.
 
 Values are canonical residues in [0, p), held as plain ints or int64
-arrays. The layers above reduce after each product, which is exact in
-int64 only while p is below :data:`MAX_MODULUS`; larger moduli are
-refused here, before anything is computed with them.
+arrays. The layers above reduce after each product, which is exact only
+while p is below :data:`MAX_MODULUS`; larger moduli are refused here,
+before anything is computed with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-# N*(p-1)**2 < 2**63 for N < 2**21 whenever p < 2**21: the binding bound, a
-# length-N dot product. Elimination updates stay below p**2.
+# Keeps every int64 product exact; the bounds are stated once, in the
+# docstring of perfectnt.matrix.
 MAX_MODULUS = 2**21
 
 

@@ -1,11 +1,21 @@
 """Dense linear algebra over GF(p), backed by small integer numpy arrays.
 
-Entries are canonical residues held in read-only int64 arrays; products
-are computed with integer matmul followed by a single reduction. That is
-exact because :class:`PrimeField` refuses p >= 2**21
-(:data:`perfectnt.gf.MAX_MODULUS`): a dot product of length N then stays
-below N*(p-1)**2, under 2**63 for any matrix that fits in memory, and the
-elimination update (:func:`_clear_column`) keeps its products below p**2.
+Entries are canonical residues held in read-only int64 arrays. Every
+product-then-reduce in the package goes through one kernel, :func:`mulmod`,
+which reduces once after the whole product. A dot product of length N of
+residues is at most N*(p-1)**2, and the kernel picks its path from that
+bound:
+
+- below 2**53, float64 holds every partial sum exactly, in any summation
+  order, so the product runs in float64 BLAS (the delayed reduction of
+  FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008);
+- below 2**63, it is an int64 product; :class:`PrimeField` refuses
+  p >= 2**21 (:data:`perfectnt.gf.MAX_MODULUS`), so this holds for every
+  inner dimension below 2**21;
+- otherwise the product is refused with ValueError.
+
+The elimination update (:func:`_clear_column`) is elementwise and keeps
+its products below p**2.
 
 Algorithms that need to be division-aware (RREF, determinant, inverse)
 pivot with modular inverses. The characteristic polynomial uses the
@@ -34,13 +44,31 @@ class SingularMatrixError(ValueError):
 class FieldMatrix:
     """Immutable dense matrix over GF(p)."""
 
-    __slots__ = ("field", "data")
+    __slots__ = ("field", "data", "_floats")
 
     def __init__(self, field: PrimeField, data):
-        arr = _residues(field, data, 2, "matrix data must be 2-dimensional")
-        arr.setflags(write=False)
+        self._set(field, _residues(field, data, 2, "matrix data must be 2-dimensional"))
+
+    @classmethod
+    def _wrap(cls, field: PrimeField, data: np.ndarray, floats=None) -> "FieldMatrix":
+        """A matrix over `data`, which already holds canonical int64 residues."""
+        m = object.__new__(cls)
+        m._set(field, data, floats)
+        return m
+
+    def _set(self, field: PrimeField, data: np.ndarray, floats=None) -> None:
+        data.setflags(write=False)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_floats", floats)
+
+    def _float_data(self) -> np.ndarray:
+        """Read-only float64 copy of `data`, built on first use and kept."""
+        if self._floats is None:
+            floats = self.data.astype(np.float64)
+            floats.setflags(write=False)
+            object.__setattr__(self, "_floats", floats)
+        return self._floats
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldMatrix is immutable")
@@ -79,7 +107,8 @@ class FieldMatrix:
         return self.data[:, j]
 
     def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.field, self.data.T)
+        """The transpose, as views of this matrix's int64 data and float64 copy."""
+        return FieldMatrix._wrap(self.field, self.data.T, self._float_data().T)
 
     def tolist(self) -> list[list[int]]:
         return self.data.tolist()
@@ -112,7 +141,7 @@ class FieldMatrix:
             raise ValueError(
                 f"cannot multiply {self.shape} by {other.shape}: inner dimensions differ"
             )
-        return FieldMatrix(self.field, self.data @ other.data)
+        return FieldMatrix._wrap(self.field, mulmod(self, other, self.field.p))
 
     def scaled(self, c: int) -> "FieldMatrix":
         return FieldMatrix(self.field, self.data * (c % self.field.p))
@@ -122,7 +151,7 @@ class FieldMatrix:
         vec = as_vector(self.field, v)
         if vec.shape[0] != self.cols:
             raise ValueError(f"expected a length-{self.cols} vector, got {vec.shape[0]}")
-        return (self.data @ vec) % self.field.p
+        return mulmod(self, vec, self.field.p)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldMatrix):
@@ -147,6 +176,32 @@ def _residues(field: PrimeField, data, ndim: int, shape_error: str) -> np.ndarra
     if arr.ndim != ndim:
         raise ValueError(f"{shape_error}, got shape {arr.shape}")
     return arr % field.p
+
+
+def mulmod(a, b, p: int) -> np.ndarray:
+    """(a @ b) % p as canonical int64 residues: the package's one product kernel.
+
+    Each operand is an int64 array of residues, or a FieldMatrix, whose cached
+    float64 copy is then used as it is. The path follows from the proven bound
+    on every partial sum, inner * (p-1)**2 (see the module docstring): float64
+    BLAS below 2**53, the int64 product below 2**63, a ValueError above.
+    """
+    inner = a.shape[-1]
+    bound = inner * (p - 1) ** 2
+    if bound < 2**53:
+        product = _as_floats(a) @ _as_floats(b)
+        return product.astype(np.int64) % p
+    if bound >= 2**63:
+        raise ValueError(f"a product of inner dimension {inner} over GF({p}) would overflow int64")
+    return _as_ints(a) @ _as_ints(b) % p
+
+
+def _as_floats(x) -> np.ndarray:
+    return x._float_data() if isinstance(x, FieldMatrix) else x.astype(np.float64)
+
+
+def _as_ints(x) -> np.ndarray:
+    return x.data if isinstance(x, FieldMatrix) else x
 
 
 def as_vector(field: PrimeField, v) -> np.ndarray:
@@ -297,14 +352,14 @@ def char_poly(m: FieldMatrix) -> FieldPoly:
     # (k-1) x (k-1) principal submatrix
     pv = [1, (-int(a[0, 0])) % p]
     for k in range(2, n + 1):
-        sub = a[: k - 1, : k - 1]
-        row = a[k - 1, : k - 1]
-        col = a[: k - 1, k - 1]
+        # one product gives both: the first k-1 entries are M w, the last R w
+        border = a[:k, : k - 1]
         t = [1, (-int(a[k - 1, k - 1])) % p]
-        w = col
+        w = a[: k - 1, k - 1]
         for _ in range(k - 1):
-            t.append((-int(row @ w)) % p)
-            w = (sub @ w) % p
+            mw_rw = mulmod(border, w, p)
+            t.append(-int(mw_rw[-1]) % p)
+            w = mw_rw[:-1]
         t = t[: k + 1]
         new = [0] * (k + 1)
         for i in range(k + 1):
@@ -335,7 +390,7 @@ def multiplicative_order(m: FieldMatrix, cap: int = 10**6) -> int | None:
     for e in range(1, cap + 1):
         if np.array_equal(power, ident):
             return e
-        power = (power @ m.data) % p
+        power = mulmod(power, m, p)
     return None
 
 

@@ -31,6 +31,7 @@ from .matrix import (
     hstack,
     inverse,
     kernel_basis,
+    mulmod,
     vstack,
 )
 from .poly import reversed_coefficient_row
@@ -337,10 +338,12 @@ def verify_properties(t: TransformSpec, trials: int = 1000, seed: int = 1234) ->
     sum as the scaling factor, and agreement of the matrix and
     polynomial application routes.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     p = t.field.p
     n = t.n
-    tmat = t.matrix.data
+    tmat_t = t.matrix.transpose()
     report = PropertyReport(label=t.code.label, trials=trials, seed=seed)
 
     def count_failures(name: str, failed: np.ndarray, note: str = "") -> None:
@@ -356,9 +359,9 @@ def verify_properties(t: TransformSpec, trials: int = 1000, seed: int = 1234) ->
     vs = rng.integers(0, p, size=(trials, n), dtype=np.int64)
     ws = rng.integers(0, p, size=(trials, n), dtype=np.int64)
     ab = rng.integers(0, p, size=(trials, 2), dtype=np.int64)
-    images = (vs @ tmat.T) % p
-    lhs = (((ab[:, 0:1] * vs + ab[:, 1:2] * ws) % p) @ tmat.T) % p
-    rhs = (ab[:, 0:1] * images + ab[:, 1:2] * ((ws @ tmat.T) % p)) % p
+    images = mulmod(vs, tmat_t, p)
+    lhs = mulmod((ab[:, 0:1] * vs + ab[:, 1:2] * ws) % p, tmat_t, p)
+    rhs = (ab[:, 0:1] * images + ab[:, 1:2] * mulmod(ws, tmat_t, p)) % p
     count_failures("linearity", np.any(lhs != rhs, axis=1))
 
     # impulse response
@@ -378,23 +381,23 @@ def verify_properties(t: TransformSpec, trials: int = 1000, seed: int = 1234) ->
     if t.form == FORM_CYCLIC:
         # time shift: T(rot_m v) == rot_m(T v); frequency shift: the inverse
         # turns rot_m(T v) back into rot_m v. A trial fails on any shift m.
-        tinv = t.inverse_matrix.data
+        tinv_t = t.inverse_matrix.transpose()
         time_failed = np.zeros(trials, dtype=bool)
         freq_failed = np.zeros(trials, dtype=bool)
         for m in range(n):
             shifted_vs = np.roll(vs, m, axis=1)
             shifted_images = np.roll(images, m, axis=1)
-            time_failed |= np.any((shifted_vs @ tmat.T) % p != shifted_images, axis=1)
-            freq_failed |= np.any((shifted_images @ tinv.T) % p != shifted_vs, axis=1)
+            time_failed |= np.any(mulmod(shifted_vs, tmat_t, p) != shifted_images, axis=1)
+            freq_failed |= np.any(mulmod(shifted_images, tinv_t, p) != shifted_vs, axis=1)
         count_failures("time_shift", time_failed, "all shifts per trial")
         count_failures("frequency_shift", freq_failed, "all shifts per trial")
 
         # constant sequences scale by the row sum (exact over all residues)
-        row_sums = np.unique(tmat.sum(axis=1) % p)
+        row_sums = np.unique(t.matrix.data.sum(axis=1) % p)
         s = int(row_sums[0])
         constants = np.repeat(np.arange(p, dtype=np.int64)[:, None], n, axis=1)
         ok = row_sums.shape[0] == 1 and np.array_equal(
-            (constants @ tmat.T) % p, (constants * s) % p
+            mulmod(constants, tmat_t, p), (constants * s) % p
         )
         weight_figure = None
         if t.code.h is not None:

@@ -23,7 +23,14 @@ from .codes import (
     hamming_parity_check,
     shortened_hamming_6_3,
 )
-from .matrix import char_poly, circulant_from_first_row, kernel_basis, multiplicative_order, rref
+from .matrix import (
+    char_poly,
+    circulant_from_first_row,
+    kernel_basis,
+    mulmod,
+    multiplicative_order,
+    rref,
+)
 from .poly import FieldPoly
 from .transforms import (
     CheckResult,
@@ -224,6 +231,8 @@ def run_target(
     "det≠0" when the determinant is nonzero, and "order=<e>" when the
     multiplicative order was computed for this target.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     t = target.build()
     claims = _CLAIMS.get(target.name, {})
     checks: list[CheckResult] = []
@@ -341,7 +350,7 @@ def run_target(
         )
 
     # T is linear, so fixing a basis of the code fixes all p^k codewords
-    fixed = np.array_equal((code_basis.data @ t.matrix.data.T) % p, code_basis.data)
+    fixed = np.array_equal(mulmod(code_basis, t.matrix.transpose(), p), code_basis.data)
     checks.append(
         CheckResult(
             "codeword_invariance",
@@ -353,8 +362,8 @@ def run_target(
 
     rng = np.random.default_rng(seed)
     vs = rng.integers(0, p, size=(trials, t.n), dtype=np.int64)
-    forward = (vs @ t.matrix.data.T) % p
-    back = (forward @ t.inverse_matrix.data.T) % p
+    forward = mulmod(vs, t.matrix.transpose(), p)
+    back = mulmod(forward, t.inverse_matrix.transpose(), p)
     rt_fails = int(np.count_nonzero(np.any(back != vs, axis=1)))
     checks.append(
         CheckResult(

@@ -167,12 +167,15 @@ def test_info_control_is_not_perfect(capsys):
         (["gen", "--code", "control", "--form", "cyclic"], "standard"),
         (["gen", "--code", "hamming", "--p", "4", "--m", "2"], "prime"),
         (["gen", "--code", "hamming", "--p", "2097169", "--m", "2"], "too large"),
+        (["verify", "--trials", "0"], "--trials"),
+        (["verify", "--trials", "-5"], "--trials"),
     ],
 )
 def test_error_paths_exit_one(capsys, argv, needle):
     status, out, err = run(capsys, *argv)
     assert status == 1
     assert err.startswith("error:")
+    assert out == "" and len(err.splitlines()) == 1
     assert needle in err
 
 

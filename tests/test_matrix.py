@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from perfectnt import reference
+from perfectnt import matrix, reference
 from perfectnt.gf import ModulusMismatchError, PrimeField
 from perfectnt.matrix import (
     FieldMatrix,
@@ -19,6 +19,7 @@ from perfectnt.matrix import (
     hstack,
     inverse,
     kernel_basis,
+    mulmod,
     multiplicative_order,
     parse_matrix,
     rank,
@@ -307,6 +308,102 @@ def test_exact_at_largest_accepted_modulus():
         v = rng.integers(0, p, size=6).tolist()
         want = [sum(a * b for a, b in zip(row, v)) % p for row in rows]
         assert m.mat_vec(v).tolist() == want
+
+
+def python_product(a, b, p):
+    """(a @ b) % p with Python ints, for 1-D or 2-D operands."""
+    rows = a.tolist() if a.ndim == 2 else [a.tolist()]
+    cols = b.T.tolist() if b.ndim == 2 else [b.tolist()]
+    out = [[sum(x * y for x, y in zip(r, c)) % p for c in cols] for r in rows]
+    if b.ndim == 1:
+        out = [row[0] for row in out]
+    return out if a.ndim == 2 else out[0]
+
+
+# 2048 * (p-1)**2 < 2**53 <= 2049 * (p-1)**2 at p = 2 097 143
+@settings(deadline=None, max_examples=60)
+@given(
+    p=st.sampled_from([2, 7, 2_097_143]),
+    inner=st.sampled_from([0, 1, 2, 5, 17, 2048, 2049]),
+    rows=st.integers(0, 2),
+    cols=st.integers(0, 2),
+    ndims=st.sampled_from([(2, 2), (2, 1), (1, 2), (1, 1)]),
+    fill=st.sampled_from(["random", "top", "odd"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mulmod_matches_python_ints(p, inner, rows, cols, ndims, fill, seed):
+    # "top" and "odd" fill with p-1 and p-2 (p-1 if p = 2): with p-2 the sum at
+    # inner 2049 is odd and above 2**53, which a float64 product would round
+    shape_a = (rows, inner) if ndims[0] == 2 else (inner,)
+    shape_b = (inner, cols) if ndims[1] == 2 else (inner,)
+    if fill == "random":
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, p, size=shape_a, dtype=np.int64)
+        b = rng.integers(0, p, size=shape_b, dtype=np.int64)
+    else:
+        top = p - 1 if fill == "top" or p == 2 else p - 2
+        a = np.full(shape_a, top, dtype=np.int64)
+        b = np.full(shape_b, top, dtype=np.int64)
+    got = mulmod(a, b, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == python_product(a, b, p)
+
+
+def test_mulmod_path_follows_the_bound(monkeypatch):
+    p = 2_097_143
+    floated = []
+    real = matrix._as_floats
+    monkeypatch.setattr(matrix, "_as_floats", lambda x: floated.append(x) or real(x))
+    for inner, float_path in ((2048, True), (2049, False)):
+        floated.clear()
+        a = np.full((2, inner), p - 2, dtype=np.int64)
+        b = np.full((inner, 2), p - 2, dtype=np.int64)
+        assert mulmod(a, b, p).tolist() == python_product(a, b, p)
+        assert bool(floated) == float_path, inner
+
+
+def test_mulmod_refuses_what_int64_cannot_hold():
+    # zero-stride operands: the shape alone decides, no memory is used
+    p = 2_097_143
+    limit = -(-(2**63) // (p - 1) ** 2)  # least inner with inner * (p-1)**2 >= 2**63
+    for inner in (limit - 1, limit):
+        a = np.broadcast_to(np.int64(p - 1), (1, inner))
+        b = np.broadcast_to(np.int64(p - 1), (inner,))
+        if inner < limit:
+            assert mulmod(a, b, p).tolist() == [inner * (p - 1) ** 2 % p]
+        else:
+            with pytest.raises(ValueError, match="overflow int64"):
+                mulmod(a, b, p)
+
+
+@pytest.mark.parametrize("p,n", [(7, 30), (2_097_143, 2100)])
+def test_transpose_shares_storage_and_products_agree(p, n):
+    field = PrimeField(p)
+    rng = np.random.default_rng(n)
+    m = FieldMatrix(field, rng.integers(0, p, size=(3, n)))
+    mt = m.transpose()
+    assert np.array_equal(mt.data, m.data.T)
+    assert np.shares_memory(mt.data, m.data)
+    assert np.shares_memory(mt._float_data(), m._float_data())
+    for arr in (mt.data, mt._float_data()):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1
+    x = FieldMatrix(field, rng.integers(0, p, size=(2, n)))
+    y = FieldMatrix(field, rng.integers(0, p, size=(3, 2)))
+    v = rng.integers(0, p, size=n)
+    assert (x @ mt).tolist() == python_product(x.data, m.data.T, p)
+    assert (m @ mt).tolist() == python_product(m.data, m.data.T, p)
+    assert (mt @ y).tolist() == python_product(m.data.T, y.data, p)
+    assert m.mat_vec(v).tolist() == python_product(m.data, v, p)
+
+
+def test_batch_rows_match_apply(golden):
+    rng = np.random.default_rng(5)
+    for t in golden.values():
+        rows = rng.integers(0, t.field.p, size=(6, t.n))
+        product = FieldMatrix(t.field, rows) @ t.matrix.transpose()
+        for row, got in zip(rows, product.data):
+            assert np.array_equal(got, t.apply(row)), t.code.label
 
 
 def test_multiplicative_order():

@@ -1,5 +1,6 @@
 import pytest
 
+from perfectnt.transforms import verify_properties
 from perfectnt.verify import _CLAIMS, GOLDEN_TARGETS, run_target, select_targets
 
 
@@ -54,3 +55,11 @@ def test_every_golden_target_passes(target):
     assert "det≠0" in summary
     if target.name == "golay11-cyclic":
         assert "order=242" in summary
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_trials_below_one_refused(golden, trials):
+    with pytest.raises(ValueError, match="trials"):
+        run_target(GOLDEN_TARGETS[0], trials=trials)
+    with pytest.raises(ValueError, match="trials"):
+        verify_properties(golden["hamming7-cyclic"], trials=trials)
