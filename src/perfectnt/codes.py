@@ -9,8 +9,8 @@ Golay matrix used by the combination-inflated transform, and a shortened
 Hamming control code that is deliberately not perfect.
 
 Hard-coded matrices are data, not derivations; the test suite cross
-checks them (rank, minimum distance by exhaustive enumeration, and the
-golden transforms they produce).
+checks them (rank, minimum distance by exhaustive enumeration over
+:func:`all_codewords`, and the golden transforms they produce).
 """
 
 from __future__ import annotations
@@ -307,33 +307,13 @@ def shortened_hamming_6_3() -> CodeSpec:
 # -- derived objects -----------------------------------------------------------
 
 
-def generator_from_parity(spec: CodeSpec) -> FieldMatrix:
-    """Canonical k x N generator: the RREF kernel basis of H."""
-    basis = kernel_basis(spec.H)
-    if basis.rows != spec.k:
-        raise ValueError(
-            f"{spec.label}: kernel dimension {basis.rows} does not match k = {spec.k}"
-        )
-    return basis
-
-
 def all_codewords(spec: CodeSpec) -> np.ndarray:
-    """All p^k codewords as a (p^k, N) residue array."""
+    """All p^k codewords as a (p^k, N) residue array (exhaustive; tests only)."""
     p = spec.field.p
     if spec.k == 0:
         return np.zeros((1, spec.N), dtype=np.int64)
-    gen = generator_from_parity(spec)
     messages = np.array(list(product(range(p), repeat=spec.k)), dtype=np.int64)
-    return mulmod(messages, gen, p)
-
-
-def minimum_distance(spec: CodeSpec) -> int:
-    """Exhaustive minimum weight over all nonzero codewords."""
-    if spec.k == 0:
-        raise ValueError("the zero code has no nonzero codewords")
-    words = all_codewords(spec)
-    weights = np.count_nonzero(words, axis=1)
-    return int(weights[weights > 0].min())
+    return mulmod(messages, kernel_basis(spec.H), p)
 
 
 # -- sphere packing ------------------------------------------------------------

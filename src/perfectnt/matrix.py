@@ -7,8 +7,9 @@ residues is at most N*(p-1)**2, and the kernel picks its path from that
 bound:
 
 - below 2**53, float64 holds every partial sum exactly, in any summation
-  order, so the product runs in float64 BLAS (the delayed reduction of
-  FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008);
+  order, so a product of at least :data:`FLOAT_MIN_MACS` multiply-adds runs
+  in float64 BLAS (the delayed reduction of FFLAS-FFPACK, Dumas, Giorgi and
+  Pernet, ACM TOMS 2008);
 - below 2**63, it is an int64 product; :class:`PrimeField` refuses
   p >= 2**21 (:data:`perfectnt.gf.MAX_MODULUS`), so this holds for every
   inner dimension below 2**21;
@@ -26,12 +27,16 @@ field without special-casing small p.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .gf import ModulusMismatchError, PrimeField
 from .poly import FieldPoly
 
+# Below this many multiply-adds the float64 conversions cost more than BLAS
+# saves (a 23x22 Berkowitz step, a 4x400 block times one vector): use int64.
+FLOAT_MIN_MACS = 4096
 
 class SingularMatrixError(ValueError):
     """Raised when a singular matrix is inverted; carries the determinant."""
@@ -183,12 +188,14 @@ def mulmod(a, b, p: int) -> np.ndarray:
 
     Each operand is an int64 array of residues, or a FieldMatrix, whose cached
     float64 copy is then used as it is. The path follows from the proven bound
-    on every partial sum, inner * (p-1)**2 (see the module docstring): float64
-    BLAS below 2**53, the int64 product below 2**63, a ValueError above.
+    on every partial sum, inner * (p-1)**2 (see the module docstring), and from
+    the shape: float64 BLAS below 2**53 for products of at least FLOAT_MIN_MACS
+    multiply-adds, the int64 product below 2**63, a ValueError above.
     """
     inner = a.shape[-1]
     bound = inner * (p - 1) ** 2
-    if bound < 2**53:
+    macs = math.prod(a.shape) * math.prod(b.shape) // max(inner, 1)
+    if bound < 2**53 and macs >= FLOAT_MIN_MACS:
         product = _as_floats(a) @ _as_floats(b)
         return product.astype(np.int64) % p
     if bound >= 2**63:
@@ -285,7 +292,7 @@ def kernel_basis(m: FieldMatrix) -> FieldMatrix:
     matrix.
     """
     reduced, rk, pivots = rref(m)
-    free = np.setdiff1d(np.arange(m.cols), pivots)
+    free = np.delete(np.arange(m.cols), list(pivots))
     if not free.size:
         return FieldMatrix.zeros(m.field, 0, m.cols)
     basis = np.zeros((free.size, m.cols), dtype=np.int64)
@@ -458,12 +465,11 @@ def parse_matrix(text: str) -> FieldMatrix:
     body = lines[1:]
     if len(body) != nrows:
         raise ValueError(f"expected {nrows} rows, got {len(body)}")
-    rows = []
-    for ln in body:
-        vals = [int(t) for t in ln.split()]
-        if len(vals) != ncols:
-            raise ValueError(f"expected {ncols} entries per row, got {len(vals)}")
-        rows.append(vals)
+    rows = [ln.split() for ln in body]
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError(f"expected {ncols} entries per row, got {len(row)}")
     if nrows == 0:
         return FieldMatrix.zeros(PrimeField(p), 0, ncols)
+    # numpy parses each token with int(); FieldMatrix refuses what int64 cannot hold
     return FieldMatrix(PrimeField(p), rows)

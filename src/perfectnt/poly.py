@@ -68,12 +68,6 @@ class FieldPoly:
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def padded(self, n: int) -> tuple[int, ...]:
-        """Coefficients extended with zeros to length n (ascending)."""
-        if len(self.coeffs) > n:
-            raise ValueError(f"polynomial of degree {self.degree} does not fit in length {n}")
-        return self.coeffs + (0,) * (n - len(self.coeffs))
-
     def _check(self, other: "FieldPoly") -> None:
         if not isinstance(other, FieldPoly):
             raise TypeError(f"expected FieldPoly, got {type(other).__name__}")
@@ -181,14 +175,6 @@ class FieldPoly:
         return f"FieldPoly({self}, {self.field!r})"
 
 
-def poly_gcd(a: FieldPoly, b: FieldPoly) -> FieldPoly:
-    """Monic greatest common divisor by the Euclidean algorithm."""
-    a._check(b)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
 def reversed_coefficient_row(poly: FieldPoly, n: int) -> tuple[int, ...]:
     """Length-n row: coefficients in descending degree, zeros after.
 
@@ -247,3 +233,36 @@ class CyclicRing:
         if len(v) != self.n:
             raise ValueError(f"expected a length-{self.n} vector, got {len(v)}")
         return FieldPoly(tuple(v), self.field)
+
+    def to_vector(self, poly: FieldPoly) -> tuple[int, ...]:
+        """The length-n coefficient vector of a ring element (degree < n)."""
+        if poly.degree >= self.n:
+            raise ValueError(f"polynomial of degree {poly.degree} does not fit in length {self.n}")
+        return poly.coeffs + (0,) * (self.n - len(poly.coeffs))
+
+    def inverse(self, c: FieldPoly) -> tuple[int, FieldPoly | None]:
+        """(Res(x^n - 1, c), c^-1 or None) from one Euclidean remainder sequence.
+
+        The resultant is the determinant of the circulant whose first column is
+        c; it is nonzero iff gcd(c, x^n - 1) = 1, and then c^-1 is c's Bezout
+        coefficient. Each step a = q*b + r uses Res(a, b) = (-1)^(deg a deg b)
+        lc(b)^(deg a - deg r) Res(b, r), and Res(a, b0) = b0^(deg a).
+        """
+        if c.field != self.field:
+            raise ModulusMismatchError("polynomial field does not match ring field")
+        p = self.field.p
+        a, b = FieldPoly.monomial(self.field, self.n) - FieldPoly.one(self.field), c
+        # s_a * c = a and s_b * c = b modulo x^n - 1
+        s_a, s_b = FieldPoly.zero(self.field), FieldPoly.one(self.field)
+        res = 1
+        while b.degree > 0:
+            q, r = divmod(a, b)
+            if r.is_zero():
+                return 0, None
+            sign = -1 if a.degree * b.degree % 2 else 1
+            res = res * sign * pow(b.coeffs[-1], a.degree - r.degree, p) % p
+            a, b, s_a, s_b = b, r, s_b, s_a - q * s_b
+        if b.is_zero():
+            return 0, None
+        b0 = b.coeffs[0]
+        return res * pow(b0, a.degree, p) % p, s_b.scaled(pow(b0, -1, p))

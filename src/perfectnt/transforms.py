@@ -12,11 +12,22 @@ and lambda is admissible exactly when det(T) != 0. Every vector fixed by
 T is a codeword and vice versa: the lambda-eigenspace of T is the code
 itself, which is what makes these matrices transforms with a meaningful
 inverse on the one side and a parity check on the other.
+
+TransformSpec keeps T's closed-form structure, not the dense matrix. With
+r = N-k and H = [H_1 | H_2], null rows give T = [[M, H_2], [0, lambda*I_k]],
+M = H_1 + lambda*I_r, so det T = lambda^k det M and T^-1 = [[M^-1,
+-lambda^-1 M^-1 H_2], [0, lambda^-1 I_k]]: an r x N top block over a scalar
+on the last k coordinates, applied in O(rN) (a fast Hamming NTT; the
+appendix's systematic assembly has the same shape). Cyclic shifts give
+multiplication by c(x) = lambda + x^r h(x) in GF(p)[x]/(x^N - 1), whose
+determinant Res(x^N - 1, c) and inverse c^-1 come from one extended Euclid
+(CyclicRing.inverse). Row combinations have no structure and stay dense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +45,7 @@ from .matrix import (
     mulmod,
     vstack,
 )
-from .poly import reversed_coefficient_row
+from .poly import CyclicRing, FieldPoly
 
 FORM_STANDARD_NULLROW = "standard_nullrow"
 FORM_STANDARD_COMBO = "standard_combo"
@@ -95,30 +106,67 @@ def inflate(code: CodeSpec, strategy: InflationStrategy) -> FieldMatrix:
             extra.append((code.H.data[a] + code.H.data[b]) % code.field.p)
         return vstack(code.H, FieldMatrix(code.field, np.array(extra, dtype=np.int64)))
     if strategy.kind == "cyclic_shifts":
-        if code.h is None:
-            raise ValueError(
-                f"{code.label} has no check polynomial; cyclic inflation undefined"
-            )
-        return circulant_from_first_row(
-            code.field, reversed_coefficient_row(code.h, n)
-        )
+        return _Circulant(code.field, _cyclic_column(code, 0), n).dense
     raise ValueError(f"unknown inflation strategy {strategy.kind!r}")
+
+
+class _Dense:
+    """A matrix with no structure to exploit, kept and applied as it is."""
+
+    def __init__(self, matrix: FieldMatrix):
+        self.dense = matrix
+
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        return mulmod(self.dense, vec, self.dense.field.p)
+
+
+class _Circulant(_Dense):
+    """Multiplication by c(x) in GF(p)[x]/(x^n - 1), applied through its circulant."""
+
+    def __init__(self, field: PrimeField, c: FieldPoly, n: int):
+        self.field, self.column = field, np.array(CyclicRing(n, field).to_vector(c))
+
+    @cached_property
+    def dense(self) -> FieldMatrix:
+        n = self.column.shape[0]
+        return circulant_from_first_row(self.field, self.column[-np.arange(n) % n])
+
+
+class _Block:
+    """[[top], [0 | scalar*I_k]]: an r x N top block over the scaled last k coordinates."""
+
+    def __init__(self, top: FieldMatrix, scalar: int):
+        self.top, self.scalar = top, scalar
+
+    @cached_property
+    def dense(self) -> FieldMatrix:
+        r, n = self.top.shape
+        bottom = np.zeros((n - r, n), dtype=np.int64)
+        bottom[:, r:] = self.scalar * np.eye(n - r, dtype=np.int64)
+        return FieldMatrix(self.top.field, np.vstack([self.top.data, bottom]))
+
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        p = self.top.field.p
+        head = mulmod(self.top, vec, p)
+        return np.concatenate([head, self.scalar * vec[self.top.rows :] % p])
 
 
 @dataclass(frozen=True)
 class TransformSpec:
-    """A built transform with its inverse cached eagerly.
+    """A built transform: T and T^-1 in structured form, and det T.
 
     Construction fails fast on a singular choice of lambda, so every
     TransformSpec in existence is invertible and carries a nonzero det.
+    `matrix` and `inverse_matrix` are the dense views, built on first use
+    and kept.
     """
 
     code: CodeSpec
     lam: int
     form: str
-    matrix: FieldMatrix
-    inverse_matrix: FieldMatrix
     det: int
+    _forward: _Dense | _Block = dataclass_field(compare=False)  # code, lam and form fix T
+    _inverse: _Dense | _Block = dataclass_field(compare=False)
 
     @property
     def field(self) -> PrimeField:
@@ -128,69 +176,111 @@ class TransformSpec:
     def n(self) -> int:
         return self.code.N
 
+    @property
+    def matrix(self) -> FieldMatrix:
+        return self._forward.dense
+
+    @property
+    def inverse_matrix(self) -> FieldMatrix:
+        return self._inverse.dense
+
+    def _vector(self, v) -> np.ndarray:
+        vec = as_vector(self.field, v)
+        if vec.shape[0] != self.n:
+            raise ValueError(f"expected a length-{self.n} vector, got {vec.shape[0]}")
+        return vec
+
     def apply(self, v) -> np.ndarray:
-        return self.matrix.mat_vec(v)
+        return self._forward.apply(self._vector(v))
 
     def apply_inverse(self, v) -> np.ndarray:
-        return self.inverse_matrix.mat_vec(v)
+        return self._inverse.apply(self._vector(v))
 
     def first_column(self) -> np.ndarray:
         return self.matrix.column(0)
 
     def __repr__(self) -> str:
-        return (
-            f"TransformSpec({self.code.label}, lambda={self.lam}, form={self.form})"
-        )
+        return f"TransformSpec({self.code.label}, lambda={self.lam}, form={self.form})"
 
 
 def _finish(code: CodeSpec, lam: int, t_matrix: FieldMatrix, form: str) -> TransformSpec:
-    """Certify a finished T: refuse a zero determinant, cache the inverse."""
+    """Certify a dense T: refuse a zero determinant, keep the inverse."""
     lam = lam % code.field.p
     det = determinant(t_matrix)
     if det == 0:
         raise EigenvalueUnsuitableError(lam, code.label)
-    return TransformSpec(
-        code=code,
-        lam=lam,
-        form=form,
-        matrix=t_matrix,
-        inverse_matrix=inverse(t_matrix),
-        det=det,
-    )
+    return TransformSpec(code, lam, form, det, _Dense(t_matrix), _Dense(inverse(t_matrix)))
 
 
-def _inflated_plus_lambda(code: CodeSpec, strategy: InflationStrategy, lam: int) -> FieldMatrix:
-    """T = H_e + lambda*I for the given inflation."""
-    return inflate(code, strategy) + FieldMatrix.identity(code.field, code.N).scaled(lam)
+def _block_det(top: FieldMatrix, lam: int) -> int:
+    """det [[top], [0 | lambda*I_k]] = lambda^k * det of top's first r columns."""
+    r, n = top.shape
+    p = top.field.p
+    return pow(lam, n - r, p) * determinant(FieldMatrix(top.field, top.data[:, :r])) % p
+
+
+def _finish_block(code: CodeSpec, lam: int, top: FieldMatrix, form: str) -> TransformSpec:
+    """Certify T = [[M, H_2], [0, lambda*I_k]], given its top rows, and invert it by blocks."""
+    p = code.field.p
+    lam = lam % p
+    det = _block_det(top, lam)
+    if det == 0:
+        raise EigenvalueUnsuitableError(lam, code.label)
+    r = top.rows
+    m_inv = inverse(FieldMatrix(code.field, top.data[:, :r]))
+    lam_inv = pow(lam, -1, p) if lam else 0  # lambda = 0 leaves no tail (k = 0)
+    tail = mulmod(m_inv, top.data[:, r:], p) * (p - lam_inv) % p
+    top_inv = FieldMatrix(code.field, np.hstack([m_inv.data, tail]))
+    return TransformSpec(code, lam, form, det, _Block(top, lam), _Block(top_inv, lam_inv))
+
+
+def _null_row_top(code: CodeSpec, lam: int) -> FieldMatrix:
+    """The parity rows of T = H_e + lambda*I for the null-row inflation: H + lambda*[I_r | 0]."""
+    r, n = code.H.shape
+    return FieldMatrix(code.field, code.H.data + lam * np.eye(r, n, dtype=np.int64))
+
+
+def _cyclic_column(code: CodeSpec, lam: int) -> FieldPoly:
+    """T's first column as a ring element: c(x) = lambda + x^(N-k) h(x) mod x^N - 1."""
+    if code.h is None:
+        raise ValueError(
+            f"{code.label} has no check polynomial; cyclic inflation undefined"
+        )
+    shifted = FieldPoly.monomial(code.field, code.redundancy) * code.h
+    return CyclicRing(code.N, code.field).reduce(shifted + FieldPoly((lam,), code.field))
 
 
 def build_standard(
     code: CodeSpec, lam: int, strategy: InflationStrategy | None = None
 ) -> TransformSpec:
     """Transform from a parity check inflated with null rows or row sums."""
-    strategy = strategy or InflationStrategy.null_rows()
+    strategy, lam = strategy or InflationStrategy.null_rows(), lam % code.field.p
     if strategy.kind == "null_rows":
-        form = FORM_STANDARD_NULLROW
-    elif strategy.kind == "row_combinations":
-        form = FORM_STANDARD_COMBO
-    else:
-        raise ValueError(
-            f"build_standard accepts null_rows or row_combinations, got {strategy.kind!r}"
-        )
-    return _finish(code, lam, _inflated_plus_lambda(code, strategy, lam), form)
+        return _finish_block(code, lam, _null_row_top(code, lam), FORM_STANDARD_NULLROW)
+    if strategy.kind == "row_combinations":
+        ident = FieldMatrix.identity(code.field, code.N)
+        return _finish(code, lam, inflate(code, strategy) + ident.scaled(lam), FORM_STANDARD_COMBO)
+    raise ValueError(
+        f"build_standard accepts null_rows or row_combinations, got {strategy.kind!r}"
+    )
 
 
 def build_cyclic(code: CodeSpec, lam: int) -> TransformSpec:
     """Transform whose H_e is the full circulant of the check polynomial."""
-    strategy = InflationStrategy.cyclic_shifts()
-    return _finish(code, lam, _inflated_plus_lambda(code, strategy, lam), FORM_CYCLIC)
+    field, n, lam = code.field, code.N, lam % code.field.p
+    c = _cyclic_column(code, lam)
+    det, c_inv = CyclicRing(n, field).inverse(c)
+    if det == 0:
+        raise EigenvalueUnsuitableError(lam, code.label)
+    return TransformSpec(
+        code, lam, FORM_CYCLIC, det, _Circulant(field, c, n), _Circulant(field, c_inv, n)
+    )
 
 
 def build_extended_golay(lam: int = 1) -> TransformSpec:
     """The length-12 combination-inflated transform over GF(3)."""
-    code = golay_spec("extended_ternary")
     strategy = InflationStrategy.row_combinations(EXTENDED_GOLAY_COMBINATION_PAIRS)
-    return _finish(code, lam, _inflated_plus_lambda(code, strategy, lam), FORM_STANDARD_COMBO)
+    return build_standard(golay_spec("extended_ternary"), lam, strategy)
 
 
 def build_appendix_systematic(p_block: FieldMatrix, lam: int) -> TransformSpec:
@@ -208,28 +298,17 @@ def build_appendix_systematic(p_block: FieldMatrix, lam: int) -> TransformSpec:
     lambda = 0 always gives a singular matrix, and unusual P blocks can
     be singular at nonzero lambda too; the determinant check rejects both.
     """
-    field = p_block.field
+    field, lam = p_block.field, lam % p_block.field.p
     k, r = p_block.shape
     n = k + r
-    lam = lam % field.p
     h_matrix = hstack(
         p_block.transpose().scaled(-1), FieldMatrix.identity(field, r)
     )
     code = CodeSpec(field, n, k, None, h_matrix, None, f"systematic({n},{k})")
-    p = field.p
     top = np.hstack(
-        [
-            (lam * np.eye(r, k, dtype=np.int64) - p_block.data.T) % p,
-            np.eye(r, dtype=np.int64),
-        ]
+        [lam * np.eye(r, k, dtype=np.int64) - p_block.data.T, np.eye(r, dtype=np.int64)]
     )
-    bottom = np.hstack(
-        [
-            np.zeros((k, r), dtype=np.int64),
-            lam * np.eye(k, dtype=np.int64),
-        ]
-    )
-    return _finish(code, lam, FieldMatrix(field, np.vstack([top, bottom])), FORM_APPENDIX)
+    return _finish_block(code, lam, FieldMatrix(field, top), FORM_APPENDIX)
 
 
 # -- eigenstructure ------------------------------------------------------------
@@ -240,14 +319,20 @@ def eigen_candidates(
 ) -> list[tuple[int, int]]:
     """(lambda, det(H_e + lambda*I)) for every residue lambda.
 
-    Admissible eigenvalues are exactly those with nonzero determinant.
+    Admissible eigenvalues are exactly those with nonzero determinant. Null
+    rows need one r x r determinant per lambda and cyclic shifts one
+    resultant; only row combinations take N x N determinants.
     """
     strategy = strategy or InflationStrategy.null_rows()
+    lams = range(code.field.p)
+    if strategy.kind == "null_rows":
+        return [(lam, _block_det(_null_row_top(code, lam), lam)) for lam in lams]
+    if strategy.kind == "cyclic_shifts":
+        ring = CyclicRing(code.N, code.field)
+        return [(lam, ring.inverse(_cyclic_column(code, lam))[0]) for lam in lams]
     he = inflate(code, strategy)
     ident = FieldMatrix.identity(code.field, code.N)
-    return [
-        (lam, determinant(he + ident.scaled(lam))) for lam in range(code.field.p)
-    ]
+    return [(lam, determinant(he + ident.scaled(lam))) for lam in lams]
 
 
 def eigenspace(t: TransformSpec, lam: int | None = None) -> FieldMatrix:
@@ -393,18 +478,16 @@ def verify_properties(t: TransformSpec, trials: int = 1000, seed: int = 1234) ->
         count_failures("frequency_shift", freq_failed, "all shifts per trial")
 
         # constant sequences scale by the row sum (exact over all residues)
-        row_sums = np.unique(t.matrix.data.sum(axis=1) % p)
-        s = int(row_sums[0])
+        row_sums = t.matrix.data.sum(axis=1) % p
+        s = int(row_sums.min())
         constants = np.repeat(np.arange(p, dtype=np.int64)[:, None], n, axis=1)
-        ok = row_sums.shape[0] == 1 and np.array_equal(
+        ok = bool(np.all(row_sums == s)) and np.array_equal(
             mulmod(constants, tmat_t, p), (constants * s) % p
         )
-        weight_figure = None
-        if t.code.h is not None:
-            weight_figure = sum(1 for c in t.code.h.coeffs if c) % p
         note = f"row sum s={s}"
-        if weight_figure is not None:
-            note += f"; check-polynomial weight mod p={weight_figure}"
+        if t.code.h is not None:
+            weight = sum(1 for c in t.code.h.coeffs if c) % p
+            note += f"; check-polynomial weight mod p={weight}"
         report.checks.append(
             CheckResult(
                 "constant_sequence",

@@ -58,76 +58,24 @@ class GoldenTarget:
     build: Callable[[], TransformSpec]
 
 
-def _golden_targets() -> tuple[GoldenTarget, ...]:
-    return (
-        GoldenTarget(
-            "hamming74",
-            "hamming74",
-            2,
-            3,
-            "standard",
-            lambda: build_standard(hamming74_systematic(), GOLDEN_LAMBDA),
-        ),
-        GoldenTarget(
-            "hamming13",
-            "hamming",
-            3,
-            3,
-            "standard",
-            lambda: build_standard(hamming_parity_check(3, 3), GOLDEN_LAMBDA),
-        ),
-        GoldenTarget(
-            "hamming7-cyclic",
-            "hamming",
-            2,
-            3,
-            "cyclic",
-            lambda: build_cyclic(cyclic_hamming_spec(2, 3), GOLDEN_LAMBDA),
-        ),
-        GoldenTarget(
-            "golay23-cyclic",
-            "golay",
-            2,
-            None,
-            "cyclic",
-            lambda: build_cyclic(golay_spec("binary"), GOLDEN_LAMBDA),
-        ),
-        GoldenTarget(
-            "golay11-cyclic",
-            "golay",
-            3,
-            None,
-            "cyclic",
-            lambda: build_cyclic(golay_spec("ternary"), GOLDEN_LAMBDA),
-        ),
-        GoldenTarget(
-            "golay11-systematic",
-            "golay",
-            3,
-            None,
-            "standard",
-            lambda: build_standard(golay_spec("ternary_systematic"), GOLDEN_LAMBDA),
-        ),
-        GoldenTarget(
-            "extended-golay12",
-            "golay",
-            3,
-            None,
-            "extended",
-            lambda: build_extended_golay(GOLDEN_LAMBDA),
-        ),
-        GoldenTarget(
-            "control63",
-            "control",
-            2,
-            None,
-            "standard",
-            lambda: build_standard(shortened_hamming_6_3(), GOLDEN_LAMBDA),
-        ),
-    )
-
-
-GOLDEN_TARGETS = _golden_targets()
+GOLDEN_TARGETS = (
+    GoldenTarget("hamming74", "hamming74", 2, 3, "standard",
+                 lambda: build_standard(hamming74_systematic(), GOLDEN_LAMBDA)),
+    GoldenTarget("hamming13", "hamming", 3, 3, "standard",
+                 lambda: build_standard(hamming_parity_check(3, 3), GOLDEN_LAMBDA)),
+    GoldenTarget("hamming7-cyclic", "hamming", 2, 3, "cyclic",
+                 lambda: build_cyclic(cyclic_hamming_spec(2, 3), GOLDEN_LAMBDA)),
+    GoldenTarget("golay23-cyclic", "golay", 2, None, "cyclic",
+                 lambda: build_cyclic(golay_spec("binary"), GOLDEN_LAMBDA)),
+    GoldenTarget("golay11-cyclic", "golay", 3, None, "cyclic",
+                 lambda: build_cyclic(golay_spec("ternary"), GOLDEN_LAMBDA)),
+    GoldenTarget("golay11-systematic", "golay", 3, None, "standard",
+                 lambda: build_standard(golay_spec("ternary_systematic"), GOLDEN_LAMBDA)),
+    GoldenTarget("extended-golay12", "golay", 3, None, "extended",
+                 lambda: build_extended_golay(GOLDEN_LAMBDA)),
+    GoldenTarget("control63", "control", 2, None, "standard",
+                 lambda: build_standard(shortened_hamming_6_3(), GOLDEN_LAMBDA)),
+)
 
 # Frozen claims per target. "witness" is always present: None means the
 # construction must NOT certify as perfect.
@@ -222,6 +170,10 @@ def select_targets(
     return out
 
 
+def _matched(name: str, ok: bool, expected: str) -> CheckResult:
+    return CheckResult(name, ok, expected, "match" if ok else "mismatch")
+
+
 def run_target(
     target: GoldenTarget, trials: int = 1000, seed: int = 1234
 ) -> tuple[str, list[CheckResult]]:
@@ -240,38 +192,18 @@ def run_target(
 
     checks.append(CheckResult("det_nonzero", t.det != 0, "nonzero", t.det))
     if "det" in claims:
-        checks.append(
-            CheckResult("det_value", t.det == claims["det"], claims["det"], t.det)
-        )
+        checks.append(CheckResult("det_value", t.det == claims["det"], claims["det"], t.det))
 
-    if "parity" in claims:
-        want = reference.matrix(*claims["parity"])
-        ok = t.code.H == want
-        checks.append(
-            CheckResult("parity_matrix", ok, "stored parity rows", "match" if ok else "mismatch")
-        )
-
-    if "inflated" in claims:
-        want = reference.matrix(*claims["inflated"])
-        got = inflate(t.code, InflationStrategy.cyclic_shifts())
-        ok = got == want
-        checks.append(
-            CheckResult("inflated_matrix", ok, "stored circulant", "match" if ok else "mismatch")
-        )
-
-    if "matrix" in claims:
-        want = reference.matrix(*claims["matrix"])
-        ok = t.matrix == want
-        checks.append(
-            CheckResult("transform_matrix", ok, "stored matrix", "match" if ok else "mismatch")
-        )
-
-    if "inverse" in claims:
-        want = reference.matrix(*claims["inverse"])
-        ok = t.inverse_matrix == want
-        checks.append(
-            CheckResult("inverse_matrix", ok, "stored inverse", "match" if ok else "mismatch")
-        )
+    stored = (
+        ("parity", "parity_matrix", "stored parity rows", lambda: t.code.H),
+        ("inflated", "inflated_matrix", "stored circulant",
+         lambda: inflate(t.code, InflationStrategy.cyclic_shifts())),
+        ("matrix", "transform_matrix", "stored matrix", lambda: t.matrix),
+        ("inverse", "inverse_matrix", "stored inverse", lambda: t.inverse_matrix),
+    )
+    for key, name, expected, got in stored:
+        if key in claims:
+            checks.append(_matched(name, got() == reference.matrix(*claims[key]), expected))
 
     order = None
     if "order" in claims:
@@ -314,27 +246,11 @@ def run_target(
     checks.append(CheckResult("eigenspace_dim", dim == t.code.k, t.code.k, dim))
 
     code_basis = kernel_basis(t.code.H)
-    ok = es == code_basis
-    checks.append(
-        CheckResult(
-            "eigenspace_equals_code",
-            ok,
-            "canonical bases identical",
-            "match" if ok else "mismatch",
-        )
-    )
+    checks.append(_matched("eigenspace_equals_code", es == code_basis, "canonical bases identical"))
 
     if "generator" in claims:
-        want = rref(reference.matrix(*claims["generator"]))[0]
-        ok = want == es
-        checks.append(
-            CheckResult(
-                "generator_row_space",
-                ok,
-                "stored generator spans eigenspace",
-                "match" if ok else "mismatch",
-            )
-        )
+        ok = rref(reference.matrix(*claims["generator"]))[0] == es
+        checks.append(_matched("generator_row_space", ok, "stored generator spans eigenspace"))
 
     perfect, witness, wdim = is_perfect_transform(t)
     want_witness = claims.get("witness")
@@ -376,15 +292,7 @@ def run_target(
 
     if t.form == "cyclic":
         circ = circulant_from_first_row(t.field, t.inverse_matrix.data[0])
-        ok = circ == t.inverse_matrix
-        checks.append(
-            CheckResult(
-                "inverse_is_circulant",
-                ok,
-                "circulant closure",
-                "match" if ok else "mismatch",
-            )
-        )
+        checks.append(_matched("inverse_is_circulant", circ == t.inverse_matrix, "circulant closure"))
 
     checks.extend(verify_properties(t, trials=trials, seed=seed).checks)
 

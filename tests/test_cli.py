@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -194,6 +197,11 @@ def test_oversized_modulus_in_transform_file(capsys, tmp_path):
         ("apply", "str.json", '{"p": "7", "rows": [["1", 0], [0, 1]]}', "integer"),
         ("invert", "bool.json", '{"p": 7, "rows": [[true, 0], [0, 1]]}', "integer"),
         ("apply", "rows.json", '{"p": 7, "rows": 5}', "integer"),
+        # every refusal of the text body: row count, row length, token, range
+        ("apply", "short.txt", "7 2 2\n1 0\n", "expected 2 rows"),
+        ("invert", "ragged.txt", "7 2 2\n1 0\n0\n", "entries per row"),
+        ("invert", "token.txt", "7 2 2\n1 0\n0 1.5\n", "invalid literal"),
+        ("apply", "range.txt", "7 2 2\n1 0\n0 -9223372036854775809\n", "int64"),
     ]
     for command, name, text, needle in cases:
         path = tmp_path / name
@@ -219,6 +227,26 @@ def test_large_output_matches_recorded_digest(capsys, key, argv):
     status, out, err = run(capsys, *argv)
     assert status == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[key]
+
+
+@pytest.mark.parametrize(
+    "argv", [["eigen", "--code", "golay", "--p", "3"], ["verify", "--trials", "10"]]
+)
+def test_cold_command_does_not_import_numpy_ma(argv):
+    # numpy.ma is imported lazily by np.unique and np.setdiff1d, among others;
+    # it costs several milliseconds of every cold start
+    code = (
+        "import contextlib, io, sys\n"
+        "from perfectnt.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = main({argv!r})\n"
+        "print(status, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False"]
 
 
 def test_bad_choice_is_argparse_error(capsys):

@@ -8,11 +8,9 @@ from perfectnt.codes import (
     all_codewords,
     cyclic_hamming_parity_poly,
     cyclic_hamming_spec,
-    generator_from_parity,
     golay_spec,
     hamming74_systematic,
     hamming_parity_check,
-    minimum_distance,
     perfect_witness,
     shortened_hamming_6_3,
     sphere_packing_sum,
@@ -20,6 +18,8 @@ from perfectnt.codes import (
 from perfectnt.gf import PrimeField
 from perfectnt.matrix import FieldMatrix, kernel_basis, rank, rref
 from perfectnt.poly import FieldPoly
+
+from helpers import generator_from_parity, minimum_distance
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)

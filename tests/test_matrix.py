@@ -26,7 +26,9 @@ from perfectnt.matrix import (
     rref,
     vstack,
 )
-from perfectnt.poly import FieldPoly, poly_gcd
+from perfectnt.poly import CyclicRing, FieldPoly
+
+from helpers import poly_gcd
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -360,6 +362,21 @@ def test_mulmod_path_follows_the_bound(monkeypatch):
         b = np.full((inner, 2), p - 2, dtype=np.int64)
         assert mulmod(a, b, p).tolist() == python_product(a, b, p)
         assert bool(floated) == float_path, inner
+    # inside the bound the shape decides: a Berkowitz step at N = 23 and a block
+    # row times one vector are cheaper in int64, and a 64-vector batch through
+    # an N = 400 transform stays on float64 BLAS
+    rng = np.random.default_rng(8)
+    for a_shape, b_shape, float_path in (
+        ((23, 22), (22,), False),
+        ((4, 400), (400,), False),
+        ((64, 400), (400, 400), True),
+    ):
+        floated.clear()
+        a = rng.integers(0, 7, size=a_shape)
+        b = rng.integers(0, 7, size=b_shape)
+        assert np.array_equal(mulmod(a, b, 7), np.matmul(a, b) % 7)
+        assert bool(floated) == float_path, (a_shape, b_shape)
+    assert 23 * 22 < matrix.FLOAT_MIN_MACS <= 64 * 400 * 400
 
 
 def test_mulmod_refuses_what_int64_cannot_hold():
@@ -446,6 +463,15 @@ def test_circulant_singular_iff_common_factor(p, n, data):
     modulus = FieldPoly.monomial(field, n) - FieldPoly.one(field)
     g = poly_gcd(col_poly, modulus) if not col_poly.is_zero() else modulus
     assert (determinant(c) == 0) == (g.degree > 0)
+    # the ring gives the same determinant as a resultant, and the inverse
+    # circulant's first column as c^-1
+    ring = CyclicRing(n, field)
+    det, c_inv = ring.inverse(col_poly)
+    assert det == determinant(c)
+    assert (c_inv is None) == (det == 0)
+    if c_inv is not None:
+        assert ring.mul(col_poly, c_inv) == FieldPoly.one(field)
+        assert inverse(c).data[:, 0].tolist() == list(ring.to_vector(c_inv))
 
 
 def test_text_serialization_roundtrip():
@@ -475,3 +501,8 @@ def test_parse_matrix_errors():
         parse_matrix('{"rows": [[1]]}')  # missing p
     with pytest.raises(ValueError):
         parse_matrix("header only\n")
+    with pytest.raises(ValueError, match="invalid literal"):
+        parse_matrix("2 2 2\n1 0\n0 x\n")  # non-integer token
+    with pytest.raises(ValueError, match="int64"):
+        parse_matrix("2 1 2\n1 -9223372036854775809\n")
+    assert parse_matrix("7 2 2\n-1 9223372036854775807\n0 +3\n").tolist() == [[6, 0], [0, 3]]

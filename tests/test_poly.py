@@ -3,7 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from perfectnt.gf import ModulusMismatchError, PrimeField
-from perfectnt.poly import CyclicRing, FieldPoly, poly_gcd, reversed_coefficient_row
+from perfectnt.poly import CyclicRing, FieldPoly, reversed_coefficient_row
+
+from helpers import poly_gcd
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -103,9 +105,10 @@ def test_rendering():
 
 def test_padded():
     f = FieldPoly((1, 1), GF2)
-    assert f.padded(4) == (1, 1, 0, 0)
+    assert CyclicRing(4, GF2).to_vector(f) == (1, 1, 0, 0)
+    assert CyclicRing(2, GF2).to_vector(f) == (1, 1)
     with pytest.raises(ValueError):
-        f.padded(1)
+        CyclicRing(1, GF2).to_vector(f)
 
 
 def test_reversed_coefficient_row():
@@ -148,6 +151,12 @@ def test_cyclic_ring_validation():
         CyclicRing(0, GF3)
     with pytest.raises(ValueError):
         ring.from_vector([1, 2, 0])  # wrong length
+    with pytest.raises(ModulusMismatchError):
+        ring.inverse(FieldPoly.one(GF2))
+    # constants: the resultant with x^n - 1 is c^n, zero has no inverse
+    assert CyclicRing(1, GF3).inverse(FieldPoly((2,), GF3)) == (2, FieldPoly((2,), GF3))
+    assert ring.inverse(FieldPoly((2,), GF3)) == (1, FieldPoly((2,), GF3))
+    assert ring.inverse(FieldPoly.zero(GF3)) == (0, None)
 
 
 def test_cyclic_ring_from_vector():

@@ -1,23 +1,35 @@
-import dataclasses
+import time
+
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfectnt import reference
+from perfectnt import matrix, reference, transforms
 from perfectnt.codes import (
+    UnsupportedParametersError,
+    cyclic_hamming_spec,
     golay_spec,
     hamming74_systematic,
+    hamming_parity_check,
     shortened_hamming_6_3,
 )
-from perfectnt.gf import PrimeField
-from perfectnt.matrix import FieldMatrix, determinant, inverse, kernel_basis, parse_matrix
-from perfectnt.poly import CyclicRing, FieldPoly
+from perfectnt.gf import PrimeField, is_prime
+from perfectnt.matrix import (
+    FieldMatrix,
+    circulant_from_first_row,
+    determinant,
+    inverse,
+    kernel_basis,
+    parse_matrix,
+)
+from perfectnt.poly import CyclicRing, FieldPoly, reversed_coefficient_row
 from perfectnt.transforms import (
     EXTENDED_GOLAY_COMBINATION_PAIRS,
     EigenvalueUnsuitableError,
     InflationStrategy,
+    _finish,
     apply_via_polynomial,
     build_appendix_systematic,
     build_cyclic,
@@ -44,8 +56,6 @@ def test_null_row_inflation():
 
 
 def test_cyclic_inflation_matches_stored_circulant():
-    from perfectnt.codes import cyclic_hamming_spec
-
     spec = cyclic_hamming_spec(2, 3)
     he = inflate(spec, InflationStrategy.cyclic_shifts())
     assert he == FieldMatrix(GF2, reference.CYCLIC_HAMMING7_INFLATED)
@@ -83,6 +93,10 @@ def test_standard_build_reproduces_stored_matrix():
     assert t.form == "standard_nullrow"
     assert t.det == 1
     assert t.lam == 1
+    # lambda is read modulo p, however large
+    for build, spec in ((build_standard, hamming74_systematic()), (build_cyclic, golay_spec("ternary"))):
+        big = build(spec, spec.field.p**50 + 1)
+        assert big.lam == 1 and big.matrix == build(spec, 1).matrix
 
 
 def test_extended_build_form_and_inverse():
@@ -166,7 +180,7 @@ def test_apply_via_polynomial_agrees(golden):
         assert out.shape == (25, t.n), name
         for v, row in zip(batch, out):
             product = ring.mul(ring.from_vector(v.tolist()), column)
-            assert row.tolist() == list(product.padded(t.n)), name
+            assert tuple(row.tolist()) == ring.to_vector(product), name
             assert np.array_equal(row, t.apply(v)), name
     with pytest.raises(ValueError):
         apply_via_polynomial(golden["hamming74"], [0] * 7)
@@ -213,8 +227,10 @@ def test_property_failures_count_trials(golden):
     t = golden["hamming7-cyclic"]
     m = t.matrix.data.copy()
     m[:, [2, 5]] = m[:, [5, 2]]
-    m = FieldMatrix(t.field, m)
-    broken = dataclasses.replace(t, matrix=m, inverse_matrix=inverse(m), det=determinant(m))
+    broken = _finish(t.code, t.lam, FieldMatrix(t.field, m), t.form)
+    assert broken.form == "cyclic"
+    assert broken.inverse_matrix == inverse(broken.matrix)
+    assert broken.det == determinant(broken.matrix)
     report = verify_properties(broken, trials=200, seed=3)
     got = {c.name: (c.passed, c.got) for c in report.checks}
     assert got == {
@@ -286,6 +302,13 @@ def test_appendix_eigenspace_is_code():
     t = build_appendix_systematic(p_block, 2)
     assert t.n == 5 and t.code.k == 3
     assert eigenspace(t) == kernel_basis(t.code.H)
+    # det = lambda^k det(M) with lambda^k = 2^3 = 2 over GF(3): the block
+    # determinant and inverse agree with the dense ones
+    assert t.det == determinant(t.matrix) == 2
+    assert build_appendix_systematic(p_block, 3**50 + 2).matrix == t.matrix
+    assert t.inverse_matrix == inverse(t.matrix)
+    for v in np.random.default_rng(3).integers(0, 3, size=(5, 5)):
+        assert np.array_equal(t.apply_inverse(v), t.inverse_matrix.mat_vec(v))
 
 
 def test_transform_serialization_header():
@@ -314,8 +337,109 @@ def test_shift_commutation_binary_golay(v, m):
 def test_random_codeword_fixed_ternary(msg):
     global _G11
     if _G11 is None:
-        from perfectnt.codes import generator_from_parity
+        from helpers import generator_from_parity
 
         _G11 = generator_from_parity(_T11.code)
     word = (np.array(msg, dtype=np.int64) @ _G11.data) % 3
     assert np.array_equal(_T11.apply(word), word)
+
+# -- structured transforms against the dense path ---------------------------------
+
+HAMMING_UP_TO_400 = [
+    (p, m)
+    for p in range(2, 400)
+    if is_prime(p)
+    for m in range(2, 10)
+    if (p**m - 1) // (p - 1) <= 400
+]
+
+
+def _dense_reference(spec, form, lam):
+    """T = H_e + lambda*I assembled densely, without the structured builders."""
+    if form == "cyclic":
+        he = circulant_from_first_row(spec.field, reversed_coefficient_row(spec.h, spec.N))
+    else:
+        he = inflate(spec, InflationStrategy.null_rows())
+    return he + FieldMatrix.identity(spec.field, spec.N).scaled(lam)
+
+
+@pytest.mark.parametrize("p,m", HAMMING_UP_TO_400)
+def test_structure_matches_dense_path(p, m):
+    rng = np.random.default_rng(p * 100 + m)
+    for form, make_spec, build in (
+        ("standard", hamming_parity_check, build_standard),
+        ("cyclic", cyclic_hamming_spec, build_cyclic),
+    ):
+        try:
+            spec = make_spec(p, m)
+        except UnsupportedParametersError:
+            continue
+        for lam in sorted({1, p - 1}):
+            dense = _dense_reference(spec, form, lam)
+            try:
+                t = build(spec, lam)
+            except EigenvalueUnsuitableError:
+                assert determinant(dense) == 0, (p, m, form, lam)
+                continue
+            assert t.matrix == dense, (p, m, form, lam)
+            assert t.det == determinant(t.matrix) != 0, (p, m, form, lam)
+            assert t.inverse_matrix == inverse(t.matrix), (p, m, form, lam)
+            for v in rng.integers(0, p, size=(4, spec.N)):
+                assert np.array_equal(t.apply(v), t.matrix.mat_vec(v))
+                assert np.array_equal(t.apply_inverse(v), t.inverse_matrix.mat_vec(v))
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p, m in HAMMING_UP_TO_400 if p <= 7 and p**m < 300])
+def test_eigen_candidates_match_dense_determinants(p, m):
+    for form, make_spec, strategy in (
+        ("standard", hamming_parity_check, InflationStrategy.null_rows()),
+        ("cyclic", cyclic_hamming_spec, InflationStrategy.cyclic_shifts()),
+    ):
+        try:
+            spec = make_spec(p, m)
+        except UnsupportedParametersError:
+            continue
+        want = [(lam, determinant(_dense_reference(spec, form, lam))) for lam in range(p)]
+        assert eigen_candidates(spec, strategy) == want, (p, m, form)
+
+
+@pytest.mark.parametrize(
+    "build,spec",
+    [
+        (build_standard, hamming_parity_check(2, 8)),
+        (build_standard, hamming_parity_check(7, 4)),
+        (build_cyclic, cyclic_hamming_spec(2, 8)),
+    ],
+    ids=["standard-255", "standard-400", "cyclic-255"],
+)
+def test_structured_builds_take_no_dense_determinant(monkeypatch, build, spec):
+    shapes = []
+    for module in (transforms, matrix):
+        for name in ("determinant", "inverse"):
+            real = getattr(module, name)
+            spy = lambda m, real=real: shapes.append(m.shape) or real(m)
+            monkeypatch.setattr(module, name, spy)
+    t = build(spec, 1)
+    cyclic = build is build_cyclic
+    eigen_candidates(spec, InflationStrategy.cyclic_shifts() if cyclic else None)
+    r = spec.redundancy
+    assert all(shape == (r, r) for shape in shapes), shapes
+    if cyclic:
+        assert shapes == []
+    assert t.n == spec.N >= 255
+
+
+def test_cyclic_1023_builds_and_2047_is_refused_quickly():
+    spec = cyclic_hamming_spec(2, 10)
+    start = time.perf_counter()
+    t = build_cyclic(spec, 1)
+    assert time.perf_counter() - start < 0.3
+    v = np.random.default_rng(10).integers(0, 2, size=1023)
+    assert np.array_equal(t.apply_inverse(t.apply(v)), v)
+    assert np.array_equal(t.apply(np.roll(v, 5)), np.roll(t.apply(v), 5))
+
+    spec = cyclic_hamming_spec(2, 11)
+    start = time.perf_counter()
+    with pytest.raises(EigenvalueUnsuitableError):
+        build_cyclic(spec, 1)
+    assert time.perf_counter() - start < 0.1
