@@ -30,14 +30,11 @@ from .matrix import (
     parse_matrix,
 )
 from .transforms import (
-    EXTENDED_GOLAY_COMBINATION_PAIRS,
-    InflationStrategy,
     build_cyclic,
     build_extended_golay,
     build_standard,
     eigen_candidates,
     format_transform,
-    inflate,
 )
 from .verify import run_target, select_targets
 
@@ -68,6 +65,14 @@ def _add_selector(sub: argparse.ArgumentParser, with_lambda: bool = True) -> Non
             default=1,
             help="diagonal eigenvalue (default: 1)",
         )
+
+
+# The builder of each --form, called as build(code, lambda).
+_BUILDERS = {
+    "standard": build_standard,
+    "cyclic": build_cyclic,
+    "extended": lambda code, lam: build_extended_golay(lam),
+}
 
 
 def _resolve_spec(args):
@@ -107,11 +112,7 @@ def _resolve_spec(args):
 
 def _build_transform(args):
     spec, form = _resolve_spec(args)
-    if form == "cyclic":
-        return build_cyclic(spec, args.lam)
-    if form == "extended":
-        return build_extended_golay(args.lam)
-    return build_standard(spec, args.lam)
+    return _BUILDERS[form](spec, args.lam)
 
 
 def _parse_vector(text: str, p: int, n: int):
@@ -173,17 +174,12 @@ def _cmd_invert(args) -> int:
 
 def _cmd_eigen(args) -> int:
     spec, form = _resolve_spec(args)
-    if form == "cyclic":
-        strategy = InflationStrategy.cyclic_shifts()
-    elif form == "extended":
-        strategy = InflationStrategy.row_combinations(EXTENDED_GOLAY_COMBINATION_PAIRS)
-    else:
-        strategy = InflationStrategy.null_rows()
     print(f"code {spec.label} p={spec.field.p} N={spec.N} k={spec.k}")
-    for lam, det in eigen_candidates(spec, strategy):
+    for lam, det in eigen_candidates(spec, _BUILDERS[form]):
         status = "admissible" if det != 0 else "unsuitable"
         print(f"lambda={lam} det={det} {status}")
-    basis = kernel_basis(inflate(spec, strategy))
+    # every inflation adds only rows in the row space of H, so ker H_e = ker H
+    basis = kernel_basis(spec.H)
     print(f"eigenspace dim={basis.rows}")
     sys.stdout.write(format_matrix_text(basis))
     return 0

@@ -216,13 +216,6 @@ def as_vector(field: PrimeField, v) -> np.ndarray:
     return _residues(field, v, 1, "expected a 1-D vector")
 
 
-def vstack(top: FieldMatrix, bottom: FieldMatrix) -> FieldMatrix:
-    top._check(bottom)
-    if top.cols != bottom.cols:
-        raise ValueError("column counts differ")
-    return FieldMatrix(top.field, np.vstack([top.data, bottom.data]))
-
-
 def hstack(left: FieldMatrix, right: FieldMatrix) -> FieldMatrix:
     left._check(right)
     if left.rows != right.rows:
@@ -276,10 +269,6 @@ def rref(m: FieldMatrix) -> tuple[FieldMatrix, int, tuple[int, ...]]:
         pivots.append(c)
         r += 1
     return FieldMatrix(m.field, a), r, tuple(pivots)
-
-
-def rank(m: FieldMatrix) -> int:
-    return rref(m)[1]
 
 
 def kernel_basis(m: FieldMatrix) -> FieldMatrix:

@@ -62,9 +62,6 @@ class FieldPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
@@ -149,11 +146,6 @@ class FieldPoly:
     def __mod__(self, other: "FieldPoly") -> "FieldPoly":
         return divmod(self, other)[1]
 
-    def monic(self) -> "FieldPoly":
-        if self.is_zero():
-            return self
-        return self.scaled(self.field.inv(self.coeffs[-1]))
-
     # -- rendering -------------------------------------------------------
 
     def __str__(self) -> str:
@@ -226,13 +218,6 @@ class CyclicRing:
                 k = (i + j) % self.n
                 acc[k] = (acc[k] + x * y) % p
         return FieldPoly(tuple(acc), self.field)
-
-    def from_vector(self, v) -> FieldPoly:
-        """Interpret a length-n vector (v_0, ..., v_{n-1}) as sum v_i x^i."""
-        v = list(v)
-        if len(v) != self.n:
-            raise ValueError(f"expected a length-{self.n} vector, got {len(v)}")
-        return FieldPoly(tuple(v), self.field)
 
     def to_vector(self, poly: FieldPoly) -> tuple[int, ...]:
         """The length-n coefficient vector of a ring element (degree < n)."""

@@ -1,10 +1,12 @@
 """Transform construction: inflate a parity check to N x N and add lambda*I.
 
 A code's parity-check matrix H has shape (N-k) x N. Inflation extends it
-to a square matrix H_e whose extra k rows are either zeros ("null_rows"),
-sums of pairs of parity rows ("row_combinations"), or — when the code is
+to a square matrix H_e whose extra k rows are either zeros (build_standard),
+sums of pairs of parity rows (build_extended_golay), or — when the code is
 cyclic — the remaining cyclic shifts that complete the circulant
-("cyclic_shifts"). The transform is then
+(build_cyclic). Each builder is the one place that knows its inflation.
+Every inflation adds only rows in H's row space, so ker H_e = ker H. The
+transform is then
 
     T = H_e + lambda * I
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -43,7 +46,6 @@ from .matrix import (
     inverse,
     kernel_basis,
     mulmod,
-    vstack,
 )
 from .poly import CyclicRing, FieldPoly
 
@@ -66,48 +68,6 @@ class EigenvalueUnsuitableError(ValueError):
             f"eigenvalue lambda={lam} is unsuitable for {label}: "
             f"H_e + {lam}*I is singular"
         )
-
-
-@dataclass(frozen=True)
-class InflationStrategy:
-    """How the (N-k) x N parity check is extended to N x N."""
-
-    kind: str
-    pairs: tuple[tuple[int, int], ...] | None = None
-
-    @classmethod
-    def null_rows(cls) -> "InflationStrategy":
-        return cls("null_rows")
-
-    @classmethod
-    def row_combinations(cls, pairs) -> "InflationStrategy":
-        return cls("row_combinations", tuple((int(a), int(b)) for a, b in pairs))
-
-    @classmethod
-    def cyclic_shifts(cls) -> "InflationStrategy":
-        return cls("cyclic_shifts")
-
-
-def inflate(code: CodeSpec, strategy: InflationStrategy) -> FieldMatrix:
-    """The N x N inflated parity check H_e (no diagonal added yet)."""
-    n, k, r = code.N, code.k, code.redundancy
-    if strategy.kind == "null_rows":
-        return vstack(code.H, FieldMatrix.zeros(code.field, k, n))
-    if strategy.kind == "row_combinations":
-        pairs = strategy.pairs or ()
-        if len(pairs) != k:
-            raise ValueError(
-                f"row_combinations needs exactly k={k} pairs, got {len(pairs)}"
-            )
-        extra = []
-        for a, b in pairs:
-            if not (0 <= a < r and 0 <= b < r):
-                raise ValueError(f"pair ({a},{b}) indexes outside the {r} parity rows")
-            extra.append((code.H.data[a] + code.H.data[b]) % code.field.p)
-        return vstack(code.H, FieldMatrix(code.field, np.array(extra, dtype=np.int64)))
-    if strategy.kind == "cyclic_shifts":
-        return _Circulant(code.field, _cyclic_column(code, 0), n).dense
-    raise ValueError(f"unknown inflation strategy {strategy.kind!r}")
 
 
 class _Dense:
@@ -212,64 +172,46 @@ def _finish(code: CodeSpec, lam: int, t_matrix: FieldMatrix, form: str) -> Trans
     return TransformSpec(code, lam, form, det, _Dense(t_matrix), _Dense(inverse(t_matrix)))
 
 
-def _block_det(top: FieldMatrix, lam: int) -> int:
-    """det [[top], [0 | lambda*I_k]] = lambda^k * det of top's first r columns."""
-    r, n = top.shape
-    p = top.field.p
-    return pow(lam, n - r, p) * determinant(FieldMatrix(top.field, top.data[:, :r])) % p
-
-
 def _finish_block(code: CodeSpec, lam: int, top: FieldMatrix, form: str) -> TransformSpec:
-    """Certify T = [[M, H_2], [0, lambda*I_k]], given its top rows, and invert it by blocks."""
+    """Certify T = [[M, H_2], [0, lambda*I_k]], given its top rows, and invert it by blocks.
+
+    lambda is already reduced mod p; det T = lambda^k * det M.
+    """
     p = code.field.p
-    lam = lam % p
-    det = _block_det(top, lam)
+    r, n = top.shape
+    m = FieldMatrix(code.field, top.data[:, :r])
+    det = pow(lam, n - r, p) * determinant(m) % p
     if det == 0:
         raise EigenvalueUnsuitableError(lam, code.label)
-    r = top.rows
-    m_inv = inverse(FieldMatrix(code.field, top.data[:, :r]))
+    m_inv = inverse(m)
     lam_inv = pow(lam, -1, p) if lam else 0  # lambda = 0 leaves no tail (k = 0)
     tail = mulmod(m_inv, top.data[:, r:], p) * (p - lam_inv) % p
     top_inv = FieldMatrix(code.field, np.hstack([m_inv.data, tail]))
     return TransformSpec(code, lam, form, det, _Block(top, lam), _Block(top_inv, lam_inv))
 
 
-def _null_row_top(code: CodeSpec, lam: int) -> FieldMatrix:
-    """The parity rows of T = H_e + lambda*I for the null-row inflation: H + lambda*[I_r | 0]."""
+def build_standard(code: CodeSpec, lam: int) -> TransformSpec:
+    """Transform from a parity check inflated with null rows: top rows H + lambda*[I_r | 0]."""
+    lam = lam % code.field.p
     r, n = code.H.shape
-    return FieldMatrix(code.field, code.H.data + lam * np.eye(r, n, dtype=np.int64))
+    top = FieldMatrix(code.field, code.H.data + lam * np.eye(r, n, dtype=np.int64))
+    return _finish_block(code, lam, top, FORM_STANDARD_NULLROW)
 
 
-def _cyclic_column(code: CodeSpec, lam: int) -> FieldPoly:
-    """T's first column as a ring element: c(x) = lambda + x^(N-k) h(x) mod x^N - 1."""
+def build_cyclic(code: CodeSpec, lam: int) -> TransformSpec:
+    """Transform whose H_e is the full circulant of the check polynomial.
+
+    T is multiplication by c(x) = lambda + x^(N-k) h(x) mod x^N - 1.
+    """
     if code.h is None:
         raise ValueError(
             f"{code.label} has no check polynomial; cyclic inflation undefined"
         )
-    shifted = FieldPoly.monomial(code.field, code.redundancy) * code.h
-    return CyclicRing(code.N, code.field).reduce(shifted + FieldPoly((lam,), code.field))
-
-
-def build_standard(
-    code: CodeSpec, lam: int, strategy: InflationStrategy | None = None
-) -> TransformSpec:
-    """Transform from a parity check inflated with null rows or row sums."""
-    strategy, lam = strategy or InflationStrategy.null_rows(), lam % code.field.p
-    if strategy.kind == "null_rows":
-        return _finish_block(code, lam, _null_row_top(code, lam), FORM_STANDARD_NULLROW)
-    if strategy.kind == "row_combinations":
-        ident = FieldMatrix.identity(code.field, code.N)
-        return _finish(code, lam, inflate(code, strategy) + ident.scaled(lam), FORM_STANDARD_COMBO)
-    raise ValueError(
-        f"build_standard accepts null_rows or row_combinations, got {strategy.kind!r}"
-    )
-
-
-def build_cyclic(code: CodeSpec, lam: int) -> TransformSpec:
-    """Transform whose H_e is the full circulant of the check polynomial."""
     field, n, lam = code.field, code.N, lam % code.field.p
-    c = _cyclic_column(code, lam)
-    det, c_inv = CyclicRing(n, field).inverse(c)
+    ring = CyclicRing(n, field)
+    shifted = FieldPoly.monomial(field, code.redundancy) * code.h
+    c = ring.reduce(shifted + FieldPoly((lam,), field))
+    det, c_inv = ring.inverse(c)
     if det == 0:
         raise EigenvalueUnsuitableError(lam, code.label)
     return TransformSpec(
@@ -278,9 +220,13 @@ def build_cyclic(code: CodeSpec, lam: int) -> TransformSpec:
 
 
 def build_extended_golay(lam: int = 1) -> TransformSpec:
-    """The length-12 combination-inflated transform over GF(3)."""
-    strategy = InflationStrategy.row_combinations(EXTENDED_GOLAY_COMBINATION_PAIRS)
-    return build_standard(golay_spec("extended_ternary"), lam, strategy)
+    """The length-12 transform over GF(3) whose H_e appends six parity-row sums."""
+    code = golay_spec("extended_ternary")
+    lam = lam % code.field.p
+    h = code.H.data
+    a, b = np.array(EXTENDED_GOLAY_COMBINATION_PAIRS).T
+    t_matrix = np.vstack([h, h[a] + h[b]]) + lam * np.eye(code.N, dtype=np.int64)
+    return _finish(code, lam, FieldMatrix(code.field, t_matrix), FORM_STANDARD_COMBO)
 
 
 def build_appendix_systematic(p_block: FieldMatrix, lam: int) -> TransformSpec:
@@ -315,24 +261,21 @@ def build_appendix_systematic(p_block: FieldMatrix, lam: int) -> TransformSpec:
 
 
 def eigen_candidates(
-    code: CodeSpec, strategy: InflationStrategy | None = None
+    code: CodeSpec, build: Callable[[CodeSpec, int], TransformSpec]
 ) -> list[tuple[int, int]]:
     """(lambda, det(H_e + lambda*I)) for every residue lambda.
 
-    Admissible eigenvalues are exactly those with nonzero determinant. Null
-    rows need one r x r determinant per lambda and cyclic shifts one
-    resultant; only row combinations take N x N determinants.
+    `build(code, lambda)` is the builder of the inflation; a lambda it
+    refuses as singular reads det 0. Admissible eigenvalues are exactly
+    those with nonzero determinant.
     """
-    strategy = strategy or InflationStrategy.null_rows()
-    lams = range(code.field.p)
-    if strategy.kind == "null_rows":
-        return [(lam, _block_det(_null_row_top(code, lam), lam)) for lam in lams]
-    if strategy.kind == "cyclic_shifts":
-        ring = CyclicRing(code.N, code.field)
-        return [(lam, ring.inverse(_cyclic_column(code, lam))[0]) for lam in lams]
-    he = inflate(code, strategy)
-    ident = FieldMatrix.identity(code.field, code.N)
-    return [(lam, determinant(he + ident.scaled(lam))) for lam in lams]
+    table = []
+    for lam in range(code.field.p):
+        try:
+            table.append((lam, build(code, lam).det))
+        except EigenvalueUnsuitableError:
+            table.append((lam, 0))
+    return table
 
 
 def eigenspace(t: TransformSpec, lam: int | None = None) -> FieldMatrix:

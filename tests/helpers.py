@@ -15,7 +15,7 @@ def poly_gcd(a: FieldPoly, b: FieldPoly) -> FieldPoly:
     """Monic greatest common divisor by the Euclidean algorithm."""
     while not b.is_zero():
         a, b = b, a % b
-    return a.monic()
+    return a if a.is_zero() else a.scaled(a.field.inv(a.coeffs[-1]))
 
 
 def generator_from_parity(spec: CodeSpec) -> FieldMatrix:

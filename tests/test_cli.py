@@ -229,6 +229,59 @@ def test_large_output_matches_recorded_digest(capsys, key, argv):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[key]
 
 
+SMALL_SELECTORS = {
+    "hamming74": ["--code", "hamming74"],
+    "hamming74-cyclic": ["--code", "hamming74", "--form", "cyclic"],
+    "hamming-p2-m3": ["--code", "hamming", "--p", "2", "--m", "3"],
+    "hamming-p2-m3-cyclic": ["--code", "hamming", "--p", "2", "--m", "3", "--form", "cyclic"],
+    "hamming-p3-m3": ["--code", "hamming", "--p", "3", "--m", "3"],
+    "hamming-p3-m3-cyclic": ["--code", "hamming", "--p", "3", "--m", "3", "--form", "cyclic"],
+    "golay-p2": ["--code", "golay", "--p", "2"],
+    "golay-p2-cyclic": ["--code", "golay", "--p", "2", "--form", "cyclic"],
+    "golay-p3": ["--code", "golay", "--p", "3"],
+    "golay-p3-cyclic": ["--code", "golay", "--p", "3", "--form", "cyclic"],
+    "golay-p3-extended": ["--code", "golay", "--p", "3", "--form", "extended"],
+    "control": ["--code", "control"],
+}
+
+
+# First 16 hex digits of sha256(stdout) and sha256(stderr), and the exit code.
+# The three refusals are `gen` at the singular lambda=1 (hamming p2 m3 and
+# golay p2, standard) and `eigen` on the systematic hamming74 fixture as cyclic.
+@pytest.mark.parametrize(
+    "command,selector,out_digest,err_digest,status",
+    [
+        ("eigen", "hamming74", "444eb3f4fbdb2911", "e3b0c44298fc1c14", 0),
+        ("gen", "hamming74", "4e8e3367d0055897", "e3b0c44298fc1c14", 0),
+        ("eigen", "hamming74-cyclic", "e3b0c44298fc1c14", "ac3f4df309cd8acf", 1),
+        ("eigen", "hamming-p2-m3", "f40b7f75eb227757", "e3b0c44298fc1c14", 0),
+        ("gen", "hamming-p2-m3", "e3b0c44298fc1c14", "a31e820534af8596", 1),
+        ("eigen", "hamming-p2-m3-cyclic", "b18ab1de096d441e", "e3b0c44298fc1c14", 0),
+        ("gen", "hamming-p2-m3-cyclic", "4aaa5e49ca0e935f", "e3b0c44298fc1c14", 0),
+        ("eigen", "hamming-p3-m3", "d17dbbb2214bc179", "e3b0c44298fc1c14", 0),
+        ("gen", "hamming-p3-m3", "0f1895190784576e", "e3b0c44298fc1c14", 0),
+        ("eigen", "hamming-p3-m3-cyclic", "b8a840b796b3f496", "e3b0c44298fc1c14", 0),
+        ("gen", "hamming-p3-m3-cyclic", "4029e27bf19e9705", "e3b0c44298fc1c14", 0),
+        ("eigen", "golay-p2", "c648e6b98e59e31c", "e3b0c44298fc1c14", 0),
+        ("gen", "golay-p2", "e3b0c44298fc1c14", "dad274bf1e72f814", 1),
+        ("eigen", "golay-p2-cyclic", "9d647762db5a2bb2", "e3b0c44298fc1c14", 0),
+        ("gen", "golay-p2-cyclic", "e89b73356722a45a", "e3b0c44298fc1c14", 0),
+        ("eigen", "golay-p3", "7c0ce1d8c57737c5", "e3b0c44298fc1c14", 0),
+        ("gen", "golay-p3", "04eb5d17a80529af", "e3b0c44298fc1c14", 0),
+        ("eigen", "golay-p3-cyclic", "e47ee7bf0426c722", "e3b0c44298fc1c14", 0),
+        ("gen", "golay-p3-cyclic", "2e424897e73a3727", "e3b0c44298fc1c14", 0),
+        ("eigen", "golay-p3-extended", "a8ff63d0eedc1267", "e3b0c44298fc1c14", 0),
+        ("gen", "golay-p3-extended", "c7c361b5e0dbaac1", "e3b0c44298fc1c14", 0),
+        ("eigen", "control", "5b0c4bb6a888a489", "e3b0c44298fc1c14", 0),
+        ("gen", "control", "4e0781da7ef37640", "e3b0c44298fc1c14", 0),
+    ],
+)
+def test_small_selector_output_is_pinned(capsys, command, selector, out_digest, err_digest, status):
+    got_status, out, err = run(capsys, command, *SMALL_SELECTORS[selector])
+    digest = lambda text: hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    assert (digest(out), digest(err), got_status) == (out_digest, err_digest, status), err
+
+
 @pytest.mark.parametrize(
     "argv", [["eigen", "--code", "golay", "--p", "3"], ["verify", "--trials", "10"]]
 )

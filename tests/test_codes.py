@@ -16,7 +16,7 @@ from perfectnt.codes import (
     sphere_packing_sum,
 )
 from perfectnt.gf import PrimeField
-from perfectnt.matrix import FieldMatrix, kernel_basis, rank, rref
+from perfectnt.matrix import FieldMatrix, kernel_basis, rref
 from perfectnt.poly import FieldPoly
 
 from helpers import generator_from_parity, minimum_distance
@@ -272,4 +272,4 @@ def test_rank_of_fixtures():
         golay_spec("extended_ternary"),
         shortened_hamming_6_3(),
     ]:
-        assert rank(spec.H) == spec.N - spec.k
+        assert rref(spec.H)[1] == spec.N - spec.k

@@ -22,9 +22,7 @@ from perfectnt.matrix import (
     mulmod,
     multiplicative_order,
     parse_matrix,
-    rank,
     rref,
-    vstack,
 )
 from perfectnt.poly import CyclicRing, FieldPoly
 
@@ -153,10 +151,7 @@ def test_mat_vec():
 def test_stacking():
     a = FieldMatrix(GF2, [[1, 0]])
     b = FieldMatrix(GF2, [[0, 1]])
-    assert vstack(a, b).tolist() == [[1, 0], [0, 1]]
     assert hstack(a, b).tolist() == [[1, 0, 0, 1]]
-    with pytest.raises(ValueError):
-        vstack(a, FieldMatrix(GF2, [[1]]))
     with pytest.raises(ValueError):
         hstack(a, FieldMatrix(GF2, [[1, 0], [0, 1]]))
 
@@ -270,7 +265,7 @@ def test_elimination_matches_sympy(m):
 
 @given(rect_matrices())
 def test_rank_nullity(m):
-    assert rank(m) + kernel_basis(m).rows == m.cols
+    assert rref(m)[1] + kernel_basis(m).rows == m.cols
 
 
 @settings(deadline=None)

@@ -1,5 +1,5 @@
 import time
-
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,7 +28,6 @@ from perfectnt.poly import CyclicRing, FieldPoly, reversed_coefficient_row
 from perfectnt.transforms import (
     EXTENDED_GOLAY_COMBINATION_PAIRS,
     EigenvalueUnsuitableError,
-    InflationStrategy,
     _finish,
     apply_via_polynomial,
     build_appendix_systematic,
@@ -38,7 +37,6 @@ from perfectnt.transforms import (
     eigen_candidates,
     eigenspace,
     format_transform,
-    inflate,
     is_perfect_transform,
     verify_properties,
 )
@@ -46,10 +44,22 @@ from perfectnt.transforms import (
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 
+# each --form's builder, called as build(code, lambda)
+BUILDERS = {
+    "standard": build_standard,
+    "cyclic": build_cyclic,
+    "extended": lambda code, lam: build_extended_golay(lam),
+}
+
+
+def _inflated(t):
+    """H_e of a built transform: T - lambda*I."""
+    return t.matrix - FieldMatrix.identity(t.field, t.n).scaled(t.lam)
+
 
 def test_null_row_inflation():
     spec = hamming74_systematic()
-    he = inflate(spec, InflationStrategy.null_rows())
+    he = _inflated(build_standard(spec, 1))
     assert he.shape == (7, 7)
     assert he.data[:3].tolist() == spec.H.tolist()
     assert np.count_nonzero(he.data[3:]) == 0
@@ -57,31 +67,20 @@ def test_null_row_inflation():
 
 def test_cyclic_inflation_matches_stored_circulant():
     spec = cyclic_hamming_spec(2, 3)
-    he = inflate(spec, InflationStrategy.cyclic_shifts())
-    assert he == FieldMatrix(GF2, reference.CYCLIC_HAMMING7_INFLATED)
+    assert _inflated(build_cyclic(spec, 1)) == FieldMatrix(GF2, reference.CYCLIC_HAMMING7_INFLATED)
 
 
 def test_cyclic_inflation_requires_check_poly():
-    with pytest.raises(ValueError):
-        inflate(hamming74_systematic(), InflationStrategy.cyclic_shifts())
-
-
-def test_row_combination_validation():
-    spec = golay_spec("extended_ternary")
-    with pytest.raises(ValueError):
-        inflate(spec, InflationStrategy.row_combinations(((0, 1),)))  # wrong count
-    bad = ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 9))
-    with pytest.raises(ValueError):
-        inflate(spec, InflationStrategy.row_combinations(bad))  # index out of range
-    with pytest.raises(ValueError):
-        inflate(spec, InflationStrategy("no_such_kind"))
+    with pytest.raises(ValueError, match="no check polynomial"):
+        build_cyclic(hamming74_systematic(), 1)
+    with pytest.raises(ValueError, match="no check polynomial"):
+        eigen_candidates(hamming74_systematic(), build_cyclic)
 
 
 def test_row_combination_rows_are_sums():
     spec = golay_spec("extended_ternary")
-    he = inflate(
-        spec, InflationStrategy.row_combinations(EXTENDED_GOLAY_COMBINATION_PAIRS)
-    )
+    he = _inflated(build_extended_golay(1))
+    assert he.data[:6].tolist() == spec.H.tolist()
     for i, (a, b) in enumerate(EXTENDED_GOLAY_COMBINATION_PAIRS):
         expected = (spec.H.data[a] + spec.H.data[b]) % 3
         assert he.data[6 + i].tolist() == expected.tolist()
@@ -115,15 +114,11 @@ def test_unsuitable_lambda_raises_with_value():
         build_cyclic(golay_spec("ternary"), 0)
 
 
-def test_build_standard_rejects_cyclic_strategy():
-    with pytest.raises(ValueError):
-        build_standard(hamming74_systematic(), 1, InflationStrategy.cyclic_shifts())
-
-
 def test_eigen_candidates_tables():
-    assert eigen_candidates(hamming74_systematic()) == [(0, 0), (1, 1)]
-    assert eigen_candidates(golay_spec("ternary_systematic")) == [(0, 0), (1, 2), (2, 2)]
-    cyclic = eigen_candidates(golay_spec("ternary"), InflationStrategy.cyclic_shifts())
+    assert eigen_candidates(hamming74_systematic(), build_standard) == [(0, 0), (1, 1)]
+    systematic = eigen_candidates(golay_spec("ternary_systematic"), build_standard)
+    assert systematic == [(0, 0), (1, 2), (2, 2)]
+    cyclic = eigen_candidates(golay_spec("ternary"), build_cyclic)
     assert cyclic[0] == (0, 0)
     assert all(det != 0 for _, det in cyclic[1:])
 
@@ -179,7 +174,7 @@ def test_apply_via_polynomial_agrees(golden):
         out = apply_via_polynomial(t, batch)
         assert out.shape == (25, t.n), name
         for v, row in zip(batch, out):
-            product = ring.mul(ring.from_vector(v.tolist()), column)
+            product = ring.mul(FieldPoly(tuple(v.tolist()), t.field), column)
             assert tuple(row.tolist()) == ring.to_vector(product), name
             assert np.array_equal(row, t.apply(v)), name
     with pytest.raises(ValueError):
@@ -359,7 +354,12 @@ def _dense_reference(spec, form, lam):
     if form == "cyclic":
         he = circulant_from_first_row(spec.field, reversed_coefficient_row(spec.h, spec.N))
     else:
-        he = inflate(spec, InflationStrategy.null_rows())
+        h = spec.H.data
+        if form == "extended":
+            extra = np.array([h[a] + h[b] for a, b in EXTENDED_GOLAY_COMBINATION_PAIRS])
+        else:
+            extra = np.zeros((spec.k, spec.N), dtype=np.int64)
+        he = FieldMatrix(spec.field, np.vstack([h, extra]))
     return he + FieldMatrix.identity(spec.field, spec.N).scaled(lam)
 
 
@@ -389,18 +389,41 @@ def test_structure_matches_dense_path(p, m):
                 assert np.array_equal(t.apply_inverse(v), t.inverse_matrix.mat_vec(v))
 
 
-@pytest.mark.parametrize("p,m", [(p, m) for p, m in HAMMING_UP_TO_400 if p <= 7 and p**m < 300])
-def test_eigen_candidates_match_dense_determinants(p, m):
-    for form, make_spec, strategy in (
-        ("standard", hamming_parity_check, InflationStrategy.null_rows()),
-        ("cyclic", cyclic_hamming_spec, InflationStrategy.cyclic_shifts()),
-    ):
+# each parameter: (form, code constructor) pairs
+EIGEN_INPUTS = [
+    *(
+        pytest.param(
+            (("standard", partial(hamming_parity_check, p, m)),
+             ("cyclic", partial(cyclic_hamming_spec, p, m))),
+            id=f"{p}-{m}",
+        )
+        for p, m in HAMMING_UP_TO_400
+        if p <= 7 and p**m < 300
+    ),
+    pytest.param(
+        (("standard", partial(golay_spec, "binary")), ("cyclic", partial(golay_spec, "binary"))),
+        id="golay-p2",
+    ),
+    pytest.param(
+        (("standard", partial(golay_spec, "ternary_systematic")),
+         ("cyclic", partial(golay_spec, "ternary"))),
+        id="golay-p3",
+    ),
+    pytest.param((("extended", partial(golay_spec, "extended_ternary")),), id="golay-p3-extended"),
+    pytest.param((("standard", shortened_hamming_6_3),), id="control"),
+]
+
+
+@pytest.mark.parametrize("forms", EIGEN_INPUTS)
+def test_eigen_candidates_match_dense_determinants(forms):
+    for form, make_spec in forms:
         try:
-            spec = make_spec(p, m)
+            spec = make_spec()
         except UnsupportedParametersError:
             continue
-        want = [(lam, determinant(_dense_reference(spec, form, lam))) for lam in range(p)]
-        assert eigen_candidates(spec, strategy) == want, (p, m, form)
+        lams = range(spec.field.p)
+        want = [(lam, determinant(_dense_reference(spec, form, lam))) for lam in lams]
+        assert eigen_candidates(spec, BUILDERS[form]) == want, (spec.label, form)
 
 
 @pytest.mark.parametrize(
@@ -420,11 +443,10 @@ def test_structured_builds_take_no_dense_determinant(monkeypatch, build, spec):
             spy = lambda m, real=real: shapes.append(m.shape) or real(m)
             monkeypatch.setattr(module, name, spy)
     t = build(spec, 1)
-    cyclic = build is build_cyclic
-    eigen_candidates(spec, InflationStrategy.cyclic_shifts() if cyclic else None)
+    eigen_candidates(spec, build)
     r = spec.redundancy
     assert all(shape == (r, r) for shape in shapes), shapes
-    if cyclic:
+    if build is build_cyclic:
         assert shapes == []
     assert t.n == spec.N >= 255
 

@@ -1,5 +1,6 @@
 import pytest
 
+from perfectnt import transforms, verify
 from perfectnt.transforms import verify_properties
 from perfectnt.verify import _CLAIMS, GOLDEN_TARGETS, run_target, select_targets
 
@@ -63,3 +64,17 @@ def test_trials_below_one_refused(golden, trials):
         run_target(GOLDEN_TARGETS[0], trials=trials)
     with pytest.raises(ValueError, match="trials"):
         verify_properties(golden["hamming7-cyclic"], trials=trials)
+
+
+@pytest.mark.parametrize(
+    "target",
+    [*GOLDEN_TARGETS, *select_targets(family="hamming", p=3, m=3, form="cyclic")],
+    ids=lambda t: t.name,
+)
+def test_run_target_computes_the_eigenspace_once(monkeypatch, target):
+    calls = []
+    for module in (transforms, verify):
+        real = module.eigenspace
+        monkeypatch.setattr(module, "eigenspace", lambda t, *a, real=real: calls.append(t) or real(t, *a))
+    run_target(target, trials=3, seed=1)
+    assert len(calls) == 1
