@@ -5,8 +5,9 @@ invert (apply the inverse), eigen (admissible-eigenvalue table and
 eigenspace basis), verify (rebuild golden constructions and check all
 stored claims), info (code parameters and perfectness).
 
-Transforms are selected either with --code/--p/--m/--form/--lambda or,
-for apply/invert, loaded from a serialized matrix file via --transform.
+Transforms are selected either with --code/--p/--m/--form/--lambda, read by
+verify.resolve as verify's targets are, or, for apply/invert, loaded from a
+serialized matrix file via --transform.
 """
 
 from __future__ import annotations
@@ -14,14 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .codes import (
-    cyclic_hamming_spec,
-    golay_spec,
-    hamming74_systematic,
-    hamming_parity_check,
-    perfect_witness,
-    shortened_hamming_6_3,
-)
+from .codes import perfect_witness
 from .matrix import (
     format_matrix_json,
     format_matrix_text,
@@ -29,14 +23,8 @@ from .matrix import (
     kernel_basis,
     parse_matrix,
 )
-from .transforms import (
-    build_cyclic,
-    build_extended_golay,
-    build_standard,
-    eigen_candidates,
-    format_transform,
-)
-from .verify import run_target, select_targets
+from .transforms import eigen_candidates, format_transform
+from .verify import resolve, run_target, select_targets
 
 
 class CliError(Exception):
@@ -67,52 +55,15 @@ def _add_selector(sub: argparse.ArgumentParser, with_lambda: bool = True) -> Non
         )
 
 
-# The builder of each --form, called as build(code, lambda).
-_BUILDERS = {
-    "standard": build_standard,
-    "cyclic": build_cyclic,
-    "extended": lambda code, lam: build_extended_golay(lam),
-}
-
-
-def _resolve_spec(args):
-    """Selector -> (CodeSpec, form). Raises CliError on bad combinations."""
+def _resolve(args):
     if args.code is None:
         raise CliError("a --code selector is required here")
-    if args.code == "hamming74":
-        if args.form != "standard":
-            raise CliError("hamming74 is the fixed systematic fixture; use --form standard")
-        return hamming74_systematic(), "standard"
-    if args.code == "hamming":
-        if args.p is None or args.m is None:
-            raise CliError("--code hamming needs --p and --m")
-        if args.form == "extended":
-            raise CliError("no extended form is defined for the Hamming family")
-        if args.form == "cyclic":
-            return cyclic_hamming_spec(args.p, args.m), "cyclic"
-        return hamming_parity_check(args.p, args.m), "standard"
-    if args.code == "golay":
-        if args.p not in (2, 3):
-            raise CliError("--code golay needs --p 2 or --p 3")
-        if args.form == "cyclic":
-            return golay_spec("binary" if args.p == 2 else "ternary"), "cyclic"
-        if args.form == "extended":
-            if args.p != 3:
-                raise CliError("the extended construction is defined over GF(3)")
-            return golay_spec("extended_ternary"), "extended"
-        if args.p == 3:
-            return golay_spec("ternary_systematic"), "standard"
-        return golay_spec("binary"), "standard"
-    if args.code == "control":
-        if args.form != "standard":
-            raise CliError("the control code only has a standard form")
-        return shortened_hamming_6_3(), "standard"
-    raise CliError(f"unknown code family {args.code!r}")
+    return resolve(args.code, args.p, args.m, args.form)
 
 
 def _build_transform(args):
-    spec, form = _resolve_spec(args)
-    return _BUILDERS[form](spec, args.lam)
+    code, build = _resolve(args)
+    return build(code, args.lam)
 
 
 def _parse_vector(text: str, p: int, n: int):
@@ -173,9 +124,9 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_eigen(args) -> int:
-    spec, form = _resolve_spec(args)
+    spec, build = _resolve(args)
     print(f"code {spec.label} p={spec.field.p} N={spec.N} k={spec.k}")
-    for lam, det in eigen_candidates(spec, _BUILDERS[form]):
+    for lam, det in eigen_candidates(spec, build):
         status = "admissible" if det != 0 else "unsuitable"
         print(f"lambda={lam} det={det} {status}")
     # every inflation adds only rows in the row space of H, so ker H_e = ker H
@@ -208,7 +159,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    spec, form = _resolve_spec(args)
+    spec, _ = _resolve(args)
     print(f"code {spec.label} over GF({spec.field.p})")
     print(f"N={spec.N} k={spec.k} d={spec.d if spec.d is not None else '?'}")
     if spec.h is not None:
@@ -218,7 +169,7 @@ def _cmd_info(args) -> int:
         print("perfect: no (sphere-packing equality fails for every radius)")
     else:
         print(f"perfect: yes, witness radius t={witness}")
-    print(f"default construction form: {form}")
+    print(f"default construction form: {args.form}")
     return 0
 
 

@@ -105,9 +105,6 @@ class FieldMatrix:
     def __getitem__(self, idx):
         return self.data[idx]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.data[i]
-
     def column(self, j: int) -> np.ndarray:
         return self.data[:, j]
 

@@ -1,11 +1,11 @@
 """Golden verification: rebuild reference transforms, check every claim.
 
-Each target names one construction, a builder for it, and the frozen
-claims it must satisfy (stored matrices, determinants, characteristic
-polynomials, multiplicative order, eigenspace facts, sphere-packing
-witnesses). Checks are emitted as CheckResult lines so the CLI can
-print them directly; everything here is recomputed from scratch on
-every run.
+`resolve` maps a selector (--code/--p/--m/--form, shared with the CLI) to
+a code and the builder of its inflation. Each golden target is a selector
+plus the frozen claims its build must satisfy (stored matrices,
+determinants, characteristic polynomials, multiplicative order, eigenspace
+facts, sphere-packing witnesses). Checks are emitted as CheckResult lines
+so the CLI can print them directly; everything is recomputed on every run.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 
 from . import reference
 from .codes import (
+    CodeSpec,
     cyclic_hamming_spec,
     golay_spec,
     hamming74_systematic,
@@ -35,6 +36,7 @@ from .matrix import (
 )
 from .poly import FieldPoly
 from .transforms import (
+    FORM_CYCLIC,
     CheckResult,
     TransformSpec,
     build_cyclic,
@@ -47,87 +49,108 @@ from .transforms import (
 GOLDEN_LAMBDA = reference.GOLDEN_LAMBDA
 
 
+def resolve(
+    family: str, p: int | None, m: int | None, form: str
+) -> tuple[CodeSpec, Callable[[CodeSpec, int], TransformSpec]]:
+    """Selector -> (code, build), called as build(code, lambda); ValueError if none."""
+    if family == "hamming74":
+        if form != "standard":
+            raise ValueError("hamming74 is the fixed systematic fixture; use --form standard")
+        return hamming74_systematic(), build_standard
+    if family == "hamming":
+        if p is None or m is None:
+            raise ValueError("--code hamming needs --p and --m")
+        if form == "extended":
+            raise ValueError("no extended form is defined for the Hamming family")
+        if form == "cyclic":
+            return cyclic_hamming_spec(p, m), build_cyclic
+        return hamming_parity_check(p, m), build_standard
+    if family == "golay":
+        if p not in (2, 3):
+            raise ValueError("--code golay needs --p 2 or --p 3")
+        if form == "cyclic":
+            return golay_spec("binary" if p == 2 else "ternary"), build_cyclic
+        if form == "extended":
+            if p != 3:
+                raise ValueError("the extended construction is defined over GF(3)")
+            return golay_spec("extended_ternary"), lambda code, lam: build_extended_golay(lam)
+        return golay_spec("ternary_systematic" if p == 3 else "binary"), build_standard
+    if family == "control":
+        if form != "standard":
+            raise ValueError("the control code only has a standard form")
+        return shortened_hamming_6_3(), build_standard
+    raise ValueError(f"unknown code family {family!r}")
+
+
 @dataclass(frozen=True)
 class GoldenTarget:
+    """A selector and the frozen claims about its build at GOLDEN_LAMBDA.
+
+    Every golden row claims "witness" (None: must NOT certify as perfect).
+    """
+
     name: str
     family: str  # hamming | hamming74 | golay | control
     p: int
     m: int | None
     form: str  # standard | cyclic | extended
-    build: Callable[[], TransformSpec]
+    claims: dict
+
+    def build(self) -> TransformSpec:
+        code, build = resolve(self.family, self.p, self.m, self.form)
+        return build(code, GOLDEN_LAMBDA)
 
 
 GOLDEN_TARGETS = (
-    GoldenTarget("hamming74", "hamming74", 2, 3, "standard",
-                 lambda: build_standard(hamming74_systematic(), GOLDEN_LAMBDA)),
-    GoldenTarget("hamming13", "hamming", 3, 3, "standard",
-                 lambda: build_standard(hamming_parity_check(3, 3), GOLDEN_LAMBDA)),
-    GoldenTarget("hamming7-cyclic", "hamming", 2, 3, "cyclic",
-                 lambda: build_cyclic(cyclic_hamming_spec(2, 3), GOLDEN_LAMBDA)),
-    GoldenTarget("golay23-cyclic", "golay", 2, None, "cyclic",
-                 lambda: build_cyclic(golay_spec("binary"), GOLDEN_LAMBDA)),
-    GoldenTarget("golay11-cyclic", "golay", 3, None, "cyclic",
-                 lambda: build_cyclic(golay_spec("ternary"), GOLDEN_LAMBDA)),
-    GoldenTarget("golay11-systematic", "golay", 3, None, "standard",
-                 lambda: build_standard(golay_spec("ternary_systematic"), GOLDEN_LAMBDA)),
-    GoldenTarget("extended-golay12", "golay", 3, None, "extended",
-                 lambda: build_extended_golay(GOLDEN_LAMBDA)),
-    GoldenTarget("control63", "control", 2, None, "standard",
-                 lambda: build_standard(shortened_hamming_6_3(), GOLDEN_LAMBDA)),
-)
-
-# Frozen claims per target. "witness" is always present: None means the
-# construction must NOT certify as perfect.
-_CLAIMS: dict[str, dict] = {
-    "hamming74": dict(
+    GoldenTarget("hamming74", "hamming74", 2, 3, "standard", dict(
         matrix=(2, reference.HAMMING74_TRANSFORM),
         det=reference.HAMMING74_TRANSFORM_DET,
         generator=(2, reference.HAMMING74_GENERATOR),
         witness=1,
-    ),
-    "hamming13": dict(
+    )),
+    GoldenTarget("hamming13", "hamming", 3, 3, "standard", dict(
         parity=(3, reference.TERNARY_HAMMING13_PARITY),
         matrix=(3, reference.TERNARY_HAMMING13_TRANSFORM),
         det=reference.TERNARY_HAMMING13_TRANSFORM_DET,
         witness=1,
-    ),
-    "hamming7-cyclic": dict(
+    )),
+    GoldenTarget("hamming7-cyclic", "hamming", 2, 3, "cyclic", dict(
         parity=(2, reference.CYCLIC_HAMMING7_PARITY),
         inflated=(2, reference.CYCLIC_HAMMING7_INFLATED),
         matrix=(2, reference.CYCLIC_HAMMING7_TRANSFORM),
         det=reference.CYCLIC_HAMMING7_TRANSFORM_DET,
         witness=1,
-    ),
-    "golay23-cyclic": dict(
+    )),
+    GoldenTarget("golay23-cyclic", "golay", 2, None, "cyclic", dict(
         matrix=(2, reference.BINARY_GOLAY23_TRANSFORM),
         det=reference.BINARY_GOLAY23_TRANSFORM_DET,
         witness=3,
-    ),
-    "golay11-cyclic": dict(
+    )),
+    GoldenTarget("golay11-cyclic", "golay", 3, None, "cyclic", dict(
         matrix=(3, reference.TERNARY_GOLAY11_CYCLIC_TRANSFORM),
         det=reference.TERNARY_GOLAY11_CYCLIC_TRANSFORM_DET,
         order=reference.TERNARY_GOLAY11_CYCLIC_ORDER,
         charpoly=reference.TERNARY_GOLAY11_CYCLIC_CHARPOLY,
         charpoly_factors=reference.TERNARY_GOLAY11_CYCLIC_CHARPOLY_FACTORS,
         witness=2,
-    ),
-    "golay11-systematic": dict(
+    )),
+    GoldenTarget("golay11-systematic", "golay", 3, None, "standard", dict(
         matrix=(3, reference.TERNARY_GOLAY11_SYSTEMATIC_TRANSFORM),
         det=reference.TERNARY_GOLAY11_SYSTEMATIC_TRANSFORM_DET,
         charpoly=reference.TERNARY_GOLAY11_SYSTEMATIC_CHARPOLY,
         witness=2,
-    ),
-    "extended-golay12": dict(
+    )),
+    GoldenTarget("extended-golay12", "golay", 3, None, "extended", dict(
         matrix=(3, reference.EXTENDED_GOLAY12_TRANSFORM),
         inverse=(3, reference.EXTENDED_GOLAY12_INVERSE),
         det=reference.EXTENDED_GOLAY12_TRANSFORM_DET,
         witness=None,
-    ),
-    "control63": dict(
+    )),
+    GoldenTarget("control63", "control", 2, None, "standard", dict(
         det=reference.SHORTENED63_TRANSFORM_DET,
         witness=None,
-    ),
-}
+    )),
+)
 
 
 def select_targets(
@@ -154,18 +177,9 @@ def select_targets(
             continue
         out.append(t)
     if not out and family == "hamming" and p is not None and m is not None:
-        chosen_form = form or "standard"
-        if chosen_form == "standard":
-            build = lambda: build_standard(hamming_parity_check(p, m), GOLDEN_LAMBDA)
-        elif chosen_form == "cyclic":
-            build = lambda: build_cyclic(cyclic_hamming_spec(p, m), GOLDEN_LAMBDA)
-        else:
-            return []
-        out.append(
-            GoldenTarget(
-                f"hamming-p{p}-m{m}-{chosen_form}", "hamming", p, m, chosen_form, build
-            )
-        )
+        form = form or "standard"
+        if form in ("standard", "cyclic"):
+            out.append(GoldenTarget(f"hamming-p{p}-m{m}-{form}", "hamming", p, m, form, {}))
     return out
 
 
@@ -185,7 +199,7 @@ def run_target(
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     t = target.build()
-    claims = _CLAIMS.get(target.name, {})
+    claims = target.claims
     checks: list[CheckResult] = []
     p = t.field.p
 
@@ -287,7 +301,7 @@ def run_target(
         )
     )
 
-    if t.form == "cyclic":
+    if t.form == FORM_CYCLIC:
         circ = circulant_from_first_row(t.field, t.inverse_matrix.data[0])
         checks.append(_matched("inverse_is_circulant", circ == t.inverse_matrix, "circulant closure"))
 

@@ -187,7 +187,7 @@ def test_09_inverse_round_trips(golden):
             failures.append(f"{name}: round trip failed")
     for name in CYCLIC_NAMES:
         inv = golden[name].inverse_matrix
-        if circulant_from_first_row(inv.field, inv.row(0)) != inv:
+        if circulant_from_first_row(inv.field, inv.data[0]) != inv:
             failures.append(f"{name}: inverse is not circulant")
     _report(9, "inverse_round_trips", failures)
 

@@ -172,6 +172,8 @@ def test_info_control_is_not_perfect(capsys):
         (["gen", "--code", "hamming", "--p", "2097169", "--m", "2"], "too large"),
         (["verify", "--trials", "0"], "--trials"),
         (["verify", "--trials", "-5"], "--trials"),
+        (["gen", "--code", "hamming", "--p", "2", "--m", "3", "--form", "extended"], "no extended form"),
+        (["gen", "--code", "golay", "--p", "5"], "--p 2 or --p 3"),
     ],
 )
 def test_error_paths_exit_one(capsys, argv, needle):
@@ -246,8 +248,8 @@ SMALL_SELECTORS = {
 
 
 # First 16 hex digits of sha256(stdout) and sha256(stderr), and the exit code.
-# The three refusals are `gen` at the singular lambda=1 (hamming p2 m3 and
-# golay p2, standard) and `eigen` on the systematic hamming74 fixture as cyclic.
+# The refusals are `gen` at the singular lambda=1 (hamming p2 m3 and golay p2,
+# standard), and `eigen` and `info` on the systematic hamming74 fixture as cyclic.
 @pytest.mark.parametrize(
     "command,selector,out_digest,err_digest,status",
     [
@@ -274,6 +276,18 @@ SMALL_SELECTORS = {
         ("gen", "golay-p3-extended", "c7c361b5e0dbaac1", "e3b0c44298fc1c14", 0),
         ("eigen", "control", "5b0c4bb6a888a489", "e3b0c44298fc1c14", 0),
         ("gen", "control", "4e0781da7ef37640", "e3b0c44298fc1c14", 0),
+        ("info", "hamming74", "ab74308419d9d626", "e3b0c44298fc1c14", 0),
+        ("info", "hamming74-cyclic", "e3b0c44298fc1c14", "ac3f4df309cd8acf", 1),
+        ("info", "hamming-p2-m3", "ab74308419d9d626", "e3b0c44298fc1c14", 0),
+        ("info", "hamming-p2-m3-cyclic", "c49283cd59e32d92", "e3b0c44298fc1c14", 0),
+        ("info", "hamming-p3-m3", "a9fa4b5bf6f13e79", "e3b0c44298fc1c14", 0),
+        ("info", "hamming-p3-m3-cyclic", "19ff7c208155fb61", "e3b0c44298fc1c14", 0),
+        ("info", "golay-p2", "06c192ec5399fc46", "e3b0c44298fc1c14", 0),
+        ("info", "golay-p2-cyclic", "2a66a96f97a675e7", "e3b0c44298fc1c14", 0),
+        ("info", "golay-p3", "90eda8f02eb1bd96", "e3b0c44298fc1c14", 0),
+        ("info", "golay-p3-cyclic", "9e1322d38b6e1cd9", "e3b0c44298fc1c14", 0),
+        ("info", "golay-p3-extended", "1dd6c6908b8a0e33", "e3b0c44298fc1c14", 0),
+        ("info", "control", "6a335bbd7cf58d1b", "e3b0c44298fc1c14", 0),
     ],
 )
 def test_small_selector_output_is_pinned(capsys, command, selector, out_digest, err_digest, status):

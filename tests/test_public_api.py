@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import perfectnt
+from perfectnt.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,12 +27,32 @@ def test_readme_quick_start_runs():
     assert namespace["report"].all_passed
 
 
-def test_trace_targets_resolve():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    for span, module_name, path, _, _ in tracing.TARGETS:
+    return tracing
+
+
+def test_trace_targets_resolve():
+    for span, module_name, path, _, _ in _load_tracing().TARGETS:
         owner = importlib.import_module(module_name)
         for attr in path.split("."):
             owner = getattr(owner, attr)
         assert callable(owner), (span, module_name, path)
+
+
+def test_cli_builds_are_traced(capsys):
+    # the CLI looks its builder up on every call, so the tracer's patches reach it:
+    # gen builds once, eigen once per residue lambda (p = 2)
+    selector = ["--code", "hamming", "--p", "2", "--m", "3", "--form", "cyclic"]
+    for command, builds in (("gen", 1), ("eigen", 2)):
+        tracer = _load_tracing().Tracer()
+        tracer.install()
+        try:
+            status = main([command, *selector])
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        assert status == 0
+        assert [span[3] for span in tracer.spans].count("transforms.build") == builds, command

@@ -3,11 +3,13 @@
 import ast
 import importlib.util
 import re
+from collections import Counter
 from pathlib import Path
 
 import perfectnt
 
 PACKAGE = Path(perfectnt.__file__).resolve().parent
+ROOT = PACKAGE.parents[1]
 
 
 def test_matrix_products_only_in_the_kernel():
@@ -38,22 +40,29 @@ def _referenced_names(tree: ast.AST) -> set[str]:
     }
 
 
-def test_every_module_function_has_a_caller_outside_the_tests():
-    # a module-level function that nothing in the package, the export list, the
-    # benchmark's trace targets or the console script names is test-only code
-    root = PACKAGE.parents[1]
-    spec = importlib.util.spec_from_file_location("bench_tracing", root / "bench" / "tracing.py")
+def _trace_targets():
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    external = {path.split(".")[0] for _, _, path, _, _ in tracing.TARGETS}
-    external |= set(perfectnt.__all__)
-    scripts = (root / "pyproject.toml").read_text(encoding="utf-8").split("[project.scripts]")[1]
-    external |= set(re.findall(r':(\w+)"', scripts.split("\n[")[0]))
+    return [path for _, _, path, _, _ in tracing.TARGETS]
 
-    trees = {
+
+def _package_trees() -> dict[str, ast.Module]:
+    return {
         path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in sorted(PACKAGE.glob("*.py"))
     }
+
+
+def test_every_module_function_has_a_caller_outside_the_tests():
+    # a module-level function that nothing in the package, the export list, the
+    # benchmark's trace targets or the console script names is test-only code
+    external = {path.split(".")[0] for path in _trace_targets()}
+    external |= set(perfectnt.__all__)
+    scripts = (ROOT / "pyproject.toml").read_text(encoding="utf-8").split("[project.scripts]")[1]
+    external |= set(re.findall(r':(\w+)"', scripts.split("\n[")[0]))
+
+    trees = _package_trees()
     unused = []
     for name, tree in trees.items():
         elsewhere = set().union(*(_referenced_names(t) for n, t in trees.items() if n != name))
@@ -64,3 +73,30 @@ def test_every_module_function_has_a_caller_outside_the_tests():
             if node.name not in _referenced_names(rest):
                 unused.append(f"{name}:{node.name}")
     assert not unused, f"module-level functions without a caller outside the tests: {unused}"
+
+
+def _attribute_reads(tree: ast.AST) -> Counter:
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def test_every_method_has_a_caller_outside_the_tests():
+    # a method is called when the package reads its name as an attribute outside
+    # its own body, when the benchmark traces it, or when the README quick start
+    # reads it; dunders are called by the language itself
+    external = {path.split(".")[-1] for path in _trace_targets()}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    quick_start = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    external |= set(_attribute_reads(ast.parse(quick_start)))
+
+    trees = _package_trees()
+    reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    unused = []
+    for name, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
+                    continue
+                outside = reads[node.name] - _attribute_reads(node)[node.name]
+                if node.name not in external and outside <= 0:
+                    unused.append(f"{name}:{cls.name}.{node.name}")
+    assert not unused, f"methods without a caller outside the tests: {unused}"

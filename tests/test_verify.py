@@ -2,13 +2,13 @@ import pytest
 
 from perfectnt import transforms, verify
 from perfectnt.transforms import verify_properties
-from perfectnt.verify import _CLAIMS, GOLDEN_TARGETS, run_target, select_targets
+from perfectnt.verify import GOLDEN_TARGETS, run_target, select_targets
 
 
 def test_targets_are_unique_and_covered():
     names = [t.name for t in GOLDEN_TARGETS]
     assert len(names) == len(set(names)) == 8
-    assert set(_CLAIMS) == set(names)
+    assert all("witness" in t.claims for t in GOLDEN_TARGETS)
 
 
 def test_select_all():
