@@ -6,14 +6,22 @@ which reduces once after the whole product. A dot product of length N of
 residues is at most N*(p-1)**2, and the kernel picks its path from that
 bound:
 
-- below 2**53, float64 holds every partial sum exactly, in any summation
-  order, so a product of at least :data:`FLOAT_MIN_MACS` multiply-adds runs
-  in float64 BLAS (the delayed reduction of FFLAS-FFPACK, Dumas, Giorgi and
-  Pernet, ACM TOMS 2008);
-- below 2**63, it is an int64 product; :class:`PrimeField` refuses
-  p >= 2**21 (:data:`perfectnt.gf.MAX_MODULUS`), so this holds for every
-  inner dimension below 2**21;
+- while N*(p-1)**2 + p <= 2**24, a product of at least
+  :data:`FLOAT_MIN_MACS` multiply-adds runs in float32 BLAS (sgemm/sgemv);
+- while N*(p-1)**2 + p <= 2**53, it runs in float64 BLAS instead;
+- while N*(p-1)**2 < 2**63, it is an int64 product; :class:`PrimeField`
+  refuses p >= 2**21 (:data:`perfectnt.gf.MAX_MODULUS`), so this holds for
+  every inner dimension below 2**21;
 - otherwise the product is refused with ValueError.
+
+A float type with a t-bit significand holds every integer up to 2**t, so
+every partial sum is exact in any summation order (the delayed reduction
+of FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008). The float
+result P = q*p + s, 0 <= s < p, is reduced in the same type, as
+P - floor(P/p)*p, and the margin of p makes that exact. P/p lies in
+[q, q + 1 - 1/p] and below (P + p)/p <= 2**t/p, so its correctly rounded
+value is within half an ulp of it, which is less than 1/p, and never below
+the float q: its floor is q. Then q*p <= P and P - q*p are exact.
 
 The elimination update (:func:`_clear_column`) is elementwise and keeps
 its products below p**2.
@@ -34,9 +42,15 @@ import numpy as np
 from .gf import ModulusMismatchError, PrimeField
 from .poly import FieldPoly
 
-# Below this many multiply-adds the float64 conversions cost more than BLAS
-# saves (a 23x22 Berkowitz step, a 4x400 block times one vector): use int64.
-FLOAT_MIN_MACS = 4096
+# Below this many multiply-adds the float conversions and the reduction cost
+# more than BLAS saves (a 23x22 Berkowitz step, a 4x400 block times one
+# vector): use int64. On a 2-vCPU Xeon the float32 path overtook int64 at
+# 6 000-8 000 multiply-adds for a cached matrix times a vector or a small
+# square product.
+FLOAT_MIN_MACS = 8192
+
+# (float type, 2**significand bits): the float tiers of mulmod, narrowest first
+_FLOAT_TIERS = ((np.float32, 2**24), (np.float64, 2**53))
 
 class SingularMatrixError(ValueError):
     """Raised when a singular matrix is inverted; carries the determinant."""
@@ -68,9 +82,17 @@ class FieldMatrix:
         object.__setattr__(self, "_floats", floats)
 
     def _float_data(self) -> np.ndarray:
-        """Read-only float64 copy of `data`, built on first use and kept."""
+        """Read-only float copy of `data`, built on first use and kept.
+
+        Its type is the narrowest float tier that holds every product this
+        matrix or its transpose can take part in: the inner dimension is
+        one of its own.
+        """
         if self._floats is None:
-            floats = self.data.astype(np.float64)
+            p = self.field.p
+            bound = max(self.shape) * (p - 1) ** 2 + p
+            dtype = next((t for t, limit in _FLOAT_TIERS if bound <= limit), np.float64)
+            floats = self.data.astype(dtype)
             floats.setflags(write=False)
             object.__setattr__(self, "_floats", floats)
         return self._floats
@@ -109,7 +131,7 @@ class FieldMatrix:
         return self.data[:, j]
 
     def transpose(self) -> "FieldMatrix":
-        """The transpose, as views of this matrix's int64 data and float64 copy."""
+        """The transpose, as views of this matrix's int64 data and float copy."""
         return FieldMatrix._wrap(self.field, self.data.T, self._float_data().T)
 
     def tolist(self) -> list[list[int]]:
@@ -170,38 +192,57 @@ class FieldMatrix:
 
 
 def _residues(field: PrimeField, data, ndim: int, shape_error: str) -> np.ndarray:
-    """`data` as an int64 array of canonical residues with `ndim` dimensions."""
+    """`data` as a new int64 array of canonical residues with `ndim` dimensions.
+
+    The array is always a copy, so the caller's array is never aliased and
+    stays writable.
+    """
     try:
-        arr = np.asarray(data, dtype=np.int64)
+        arr = np.array(data, dtype=np.int64)
     except OverflowError:
         raise ValueError("entries must lie in the int64 range [-2**63, 2**63)") from None
     if arr.ndim != ndim:
         raise ValueError(f"{shape_error}, got shape {arr.shape}")
-    return arr % field.p
+    # one unsigned comparison: negative entries wrap above 2**63
+    if not (arr.view(np.uint64) < field.p).all():
+        np.remainder(arr, field.p, out=arr)
+    return arr
 
 
 def mulmod(a, b, p: int) -> np.ndarray:
     """(a @ b) % p as canonical int64 residues: the package's one product kernel.
 
     Each operand is an int64 array of residues, or a FieldMatrix, whose cached
-    float64 copy is then used as it is. The path follows from the proven bound
-    on every partial sum, inner * (p-1)**2 (see the module docstring), and from
-    the shape: float64 BLAS below 2**53 for products of at least FLOAT_MIN_MACS
-    multiply-adds, the int64 product below 2**63, a ValueError above.
+    float copy is then used. The path follows from the proven bound on every
+    partial sum, inner * (p-1)**2, and from the shape (see the module
+    docstring): for products of at least FLOAT_MIN_MACS multiply-adds, float32
+    BLAS while bound + p <= 2**24 and float64 BLAS while bound + p <= 2**53;
+    otherwise the int64 product below 2**63, and a ValueError above.
     """
     inner = a.shape[-1]
     bound = inner * (p - 1) ** 2
     macs = math.prod(a.shape) * math.prod(b.shape) // max(inner, 1)
-    if bound < 2**53 and macs >= FLOAT_MIN_MACS:
-        product = _as_floats(a) @ _as_floats(b)
-        return product.astype(np.int64) % p
+    if macs >= FLOAT_MIN_MACS:
+        for dtype, limit in _FLOAT_TIERS:
+            if bound + p <= limit:
+                return _reduce(_as_floats(a, dtype) @ _as_floats(b, dtype), p)
     if bound >= 2**63:
         raise ValueError(f"a product of inner dimension {inner} over GF({p}) would overflow int64")
     return _as_ints(a) @ _as_ints(b) % p
 
 
-def _as_floats(x) -> np.ndarray:
-    return x._float_data() if isinstance(x, FieldMatrix) else x.astype(np.float64)
+def _reduce(product: np.ndarray, p: int) -> np.ndarray:
+    """Residues of float integers P with P + p <= 2**t, t the significand width.
+
+    floor(P/p) is the exact quotient under that margin (see the module docstring).
+    """
+    quotient = np.floor(product / p)
+    quotient *= p
+    return (product - quotient).astype(np.int64)
+
+
+def _as_floats(x, dtype) -> np.ndarray:
+    return (x._float_data() if isinstance(x, FieldMatrix) else x).astype(dtype, copy=False)
 
 
 def _as_ints(x) -> np.ndarray:
@@ -404,8 +445,12 @@ def circulant_from_first_row(field: PrimeField, first_row) -> FieldMatrix:
 def format_matrix_text(m: FieldMatrix, header: str | None = None) -> str:
     """Text form: optional header line, then "p rows cols", then the rows."""
     head = [] if header is None else [header]
-    rows = (" ".join(map(str, row)) for row in m.data.tolist())
-    return "\n".join([*head, f"{m.field.p} {m.rows} {m.cols}", *rows]) + "\n"
+    rows = m.data.tolist()
+    # each distinct entry is converted to text once
+    values = set().union(*rows)
+    text = dict(zip(values, map(str, values))).__getitem__
+    lines = (" ".join(map(text, row)) for row in rows)
+    return "\n".join([*head, f"{m.field.p} {m.rows} {m.cols}", *lines]) + "\n"
 
 
 def format_matrix_json(m: FieldMatrix) -> str:

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .codes import CodeSpec, golay_spec, perfect_witness
+from .codes import CodeSpec, perfect_witness
 from .gf import PrimeField
 from .matrix import (
     FieldMatrix,
@@ -219,9 +219,16 @@ def build_cyclic(code: CodeSpec, lam: int) -> TransformSpec:
     )
 
 
-def build_extended_golay(lam: int = 1) -> TransformSpec:
-    """The length-12 transform over GF(3) whose H_e appends six parity-row sums."""
-    code = golay_spec("extended_ternary")
+def build_extended_golay(code: CodeSpec, lam: int) -> TransformSpec:
+    """Transform whose H_e appends six sums of pairs of the six parity rows.
+
+    Defined for the extended ternary Golay code, whose parity check is 6 x 12.
+    """
+    if code.H.shape != (6, 12):
+        raise ValueError(
+            f"{code.label} has a {code.H.rows} x {code.H.cols} parity check; "
+            "row-combination inflation needs 6 x 12 (the extended ternary Golay code)"
+        )
     lam = lam % code.field.p
     h = code.H.data
     a, b = np.array(EXTENDED_GOLAY_COMBINATION_PAIRS).T

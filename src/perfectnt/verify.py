@@ -73,7 +73,7 @@ def resolve(
         if form == "extended":
             if p != 3:
                 raise ValueError("the extended construction is defined over GF(3)")
-            return golay_spec("extended_ternary"), lambda code, lam: build_extended_golay(lam)
+            return golay_spec("extended_ternary"), build_extended_golay
         return golay_spec("ternary_systematic" if p == 3 else "binary"), build_standard
     if family == "control":
         if form != "standard":

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
@@ -107,6 +107,32 @@ def test_constructor_normalizes_and_freezes():
         FieldMatrix(GF3, [1, 2, 3])  # 1-D
     with pytest.raises(ValueError, match="int64"):
         FieldMatrix(GF3, [[10**20]])
+
+
+@pytest.mark.parametrize("layout", ["plain", "transposed", "strided"])
+def test_residues_copy_the_callers_array(layout):
+    # canonical input skips the reduction, but the result is still a copy:
+    # the caller's array stays writable and shares no memory with it
+    p = 7
+    base = np.arange(-40, 40, dtype=np.int64).reshape(8, 10) * 3
+    for arr, want in ((base % p, base % p), (base, base % p)):
+        arr = {"plain": arr.copy(), "transposed": arr.T, "strided": arr[::2, ::3]}[layout]
+        want = {"plain": want, "transposed": want.T, "strided": want[::2, ::3]}[layout]
+        before = arr.copy()
+        m = FieldMatrix(PrimeField(p), arr)
+        vec = as_vector(PrimeField(p), arr[0])
+        assert m.tolist() == want.tolist()
+        assert vec.tolist() == want[0].tolist()
+        for got in (m.data, vec):
+            assert got.dtype == np.int64
+            assert not np.shares_memory(got, arr)
+        assert arr.flags.writeable
+        arr[0, 0] += 1
+        assert np.array_equal(arr[1:], before[1:])
+    # entries >= p and negative entries next to canonical ones
+    assert as_vector(PrimeField(p), [0, 6, 7, -1, -(2**63), 2**63 - 1]).tolist() == [
+        x % p for x in (0, 6, 7, -1, -(2**63), 2**63 - 1)
+    ]
 
 
 def test_shape_helpers():
@@ -317,20 +343,31 @@ def python_product(a, b, p):
     return out if a.ndim == 2 else out[0]
 
 
-# 2048 * (p-1)**2 < 2**53 <= 2049 * (p-1)**2 at p = 2 097 143
+# The float tiers end where inner*(p-1)**2 + p passes 2**24 and 2**53: at
+# p = 257 between inner 255 and 256, at p = 2 097 143 between 2048 and 2049.
+# "top" and "odd" fill with p-1 and p-2 (p-1 if p = 2). The examples catch a
+# float product past either end: at inner 263 the "odd" sums are odd and
+# above 2**24, and at inner 2049 the "top" sums leave an odd residue, so
+# q*p is odd and above 2**53. Rows and columns of 16 or 32 make the product
+# large enough for a float path.
 @settings(deadline=None, max_examples=60)
 @given(
-    p=st.sampled_from([2, 7, 2_097_143]),
-    inner=st.sampled_from([0, 1, 2, 5, 17, 2048, 2049]),
-    rows=st.integers(0, 2),
-    cols=st.integers(0, 2),
+    p=st.sampled_from([2, 7, 257, 2_097_143]),
+    inner=st.sampled_from([0, 1, 2, 5, 17, 255, 256, 263, 2048, 2049]),
+    rows=st.sampled_from([0, 1, 2, 16]),
+    cols=st.sampled_from([0, 1, 2, 16]),
     ndims=st.sampled_from([(2, 2), (2, 1), (1, 2), (1, 1)]),
     fill=st.sampled_from(["random", "top", "odd"]),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(p=257, inner=255, rows=16, cols=16, ndims=(2, 2), fill="top", seed=0)
+@example(p=257, inner=256, rows=16, cols=16, ndims=(2, 2), fill="top", seed=0)
+@example(p=257, inner=263, rows=16, cols=16, ndims=(2, 2), fill="odd", seed=0)
+@example(p=257, inner=263, rows=32, cols=1, ndims=(2, 1), fill="odd", seed=0)
+@example(p=2_097_143, inner=2048, rows=2, cols=2, ndims=(2, 2), fill="top", seed=0)
+@example(p=2_097_143, inner=2049, rows=2, cols=2, ndims=(2, 2), fill="top", seed=0)
+@example(p=2_097_143, inner=2049, rows=2, cols=2, ndims=(2, 2), fill="odd", seed=0)
 def test_mulmod_matches_python_ints(p, inner, rows, cols, ndims, fill, seed):
-    # "top" and "odd" fill with p-1 and p-2 (p-1 if p = 2): with p-2 the sum at
-    # inner 2049 is odd and above 2**53, which a float64 product would round
     shape_a = (rows, inner) if ndims[0] == 2 else (inner,)
     shape_b = (inner, cols) if ndims[1] == 2 else (inner,)
     if fill == "random":
@@ -346,31 +383,88 @@ def test_mulmod_matches_python_ints(p, inner, rows, cols, ndims, fill, seed):
     assert got.tolist() == python_product(a, b, p)
 
 
+@pytest.mark.parametrize("p", [3, 7, 257, 4093])
+def test_float32_reduction_is_exact_up_to_the_margin(p):
+    # every integer sum the float32 tier can hand over, P + p <= 2**24; 4093 is
+    # the largest prime for which the tier is reachable, (p-1)**2 + p <= 2**24
+    step = 2**20
+    for start in range(0, 2**24 - p + 1, step):
+        sums = np.arange(start, min(start + step, 2**24 - p + 1), dtype=np.int64)
+        assert np.array_equal(matrix._reduce(sums.astype(np.float32), p), sums % p)
+
+
+class _PathChosen(Exception):
+    pass
+
+
 def test_mulmod_path_follows_the_bound(monkeypatch):
-    p = 2_097_143
     floated = []
     real = matrix._as_floats
-    monkeypatch.setattr(matrix, "_as_floats", lambda x: floated.append(x) or real(x))
-    for inner, float_path in ((2048, True), (2049, False)):
+
+    def spy(x, dtype):
+        floated.append(np.dtype(dtype).name)
+        if not compute:
+            raise _PathChosen
+        return real(x, dtype)
+
+    monkeypatch.setattr(matrix, "_as_floats", spy)
+
+    def path(a, b, p):
+        """The path mulmod takes: float32, float64, int64 or refused."""
         floated.clear()
-        a = np.full((2, inner), p - 2, dtype=np.int64)
-        b = np.full((inner, 2), p - 2, dtype=np.int64)
-        assert mulmod(a, b, p).tolist() == python_product(a, b, p)
-        assert bool(floated) == float_path, inner
+        try:
+            got = mulmod(a, b, p)
+        except _PathChosen:
+            return floated[0]
+        except ValueError as exc:
+            assert "overflow int64" in str(exc)
+            return "refused"
+        if compute:
+            assert got.tolist() == python_product(a, b, p)
+        return floated[0] if floated else "int64"
+
+    def full(shape, x):
+        return np.full(shape, x, dtype=np.int64)
+
+    compute = True
+    # float32 while inner*(p-1)**2 + p <= 2**24, float64 while <= 2**53
+    for p, inner, want in (
+        (257, 255, "float32"),
+        (257, 256, "float64"),
+        (2_097_143, 2048, "float64"),
+        (2_097_143, 2049, "int64"),
+    ):
+        a, b = full((8, inner), p - 2), full((inner, 8), p - 2)
+        assert path(a, b, p) == want, (p, inner)
+    # the reduction margin: at p = 2, inner 2**24 - 1 keeps every sum below
+    # 2**24 but leaves float32; zero-stride operands, and the spy stops
+    # before any float product is formed
+    compute = False
+    for inner, want in ((2**24 - 2, "float32"), (2**24 - 1, "float64")):
+        a = np.broadcast_to(np.int64(1), (1, inner))
+        b = np.broadcast_to(np.int64(1), (inner,))
+        assert path(a, b, 2) == want, inner
+    # int64 up to 2**63, refused from there
+    p = 2_097_143
+    limit = -(-(2**63) // (p - 1) ** 2)  # least inner with inner * (p-1)**2 >= 2**63
+    for inner, want in ((limit - 1, "int64"), (limit, "refused")):
+        a = np.broadcast_to(np.int64(p - 1), (1, inner))
+        b = np.broadcast_to(np.int64(p - 1), (inner,))
+        assert path(a, b, p) == want, inner
     # inside the bound the shape decides: a Berkowitz step at N = 23 and a block
     # row times one vector are cheaper in int64, and a 64-vector batch through
-    # an N = 400 transform stays on float64 BLAS
+    # an N = 400 transform runs in float32 BLAS
+    compute = True
     rng = np.random.default_rng(8)
-    for a_shape, b_shape, float_path in (
-        ((23, 22), (22,), False),
-        ((4, 400), (400,), False),
-        ((64, 400), (400, 400), True),
+    for a_shape, b_shape, want in (
+        ((23, 22), (22,), "int64"),
+        ((4, 400), (400,), "int64"),
+        ((64, 400), (400, 400), "float32"),
     ):
-        floated.clear()
         a = rng.integers(0, 7, size=a_shape)
         b = rng.integers(0, 7, size=b_shape)
+        assert path(a, b, 7) == want, (a_shape, b_shape)
         assert np.array_equal(mulmod(a, b, 7), np.matmul(a, b) % 7)
-        assert bool(floated) == float_path, (a_shape, b_shape)
     assert 23 * 22 < matrix.FLOAT_MIN_MACS <= 64 * 400 * 400
 
 
@@ -397,6 +491,8 @@ def test_transpose_shares_storage_and_products_agree(p, n):
     assert np.array_equal(mt.data, m.data.T)
     assert np.shares_memory(mt.data, m.data)
     assert np.shares_memory(mt._float_data(), m._float_data())
+    # the cached copy is float32 when every product of m or mt fits that tier
+    assert m._float_data().dtype == (np.float32 if p == 7 else np.float64)
     for arr in (mt.data, mt._float_data()):
         with pytest.raises(ValueError):
             arr[0, 0] = 1

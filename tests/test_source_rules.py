@@ -32,6 +32,44 @@ def test_matrix_products_only_in_the_kernel():
     assert not stray, f"`@` outside matrix.mulmod: {stray}"
 
 
+FLOAT_TYPES = {"float16", "float32", "float64", "float128", "half", "single", "double", "longdouble"}
+FLOAT_CODES = FLOAT_TYPES | {"float", "e", "f", "d", "g", "f2", "f4", "f8", "f16"}
+
+
+def _float_dtype_lines(tree: ast.AST) -> set[int]:
+    """Lines naming a float type: np.float32 and the like, or a float given to
+    astype or as a dtype= argument (float, "float32", "f4", ...)."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in FLOAT_TYPES:
+            lines.add(node.lineno)
+        if not isinstance(node, ast.Call):
+            continue
+        dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"]
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "astype":
+            dtypes += node.args[:1]
+        for arg in dtypes:
+            name = arg.id if isinstance(arg, ast.Name) else getattr(arg, "value", None)
+            if isinstance(name, str) and name in FLOAT_CODES:
+                lines.add(node.lineno)
+    return lines
+
+
+def test_float_types_only_in_the_kernel_module():
+    # a float product is exact only under mulmod's bound, so float types are
+    # named in matrix.py alone, where that bound is checked
+    snippet = "a.astype(float)\nnp.zeros(3, dtype='f8')\nb = np.float32\nc.astype(np.int64)\n"
+    assert _float_dtype_lines(ast.parse(snippet)) == {1, 2, 3}
+    stray = [
+        f"{name}:{line}"
+        for name, tree in _package_trees().items()
+        if name != "matrix.py"
+        for line in sorted(_float_dtype_lines(tree))
+    ]
+    assert not stray, f"float types outside matrix.py: {stray}"
+    assert _float_dtype_lines(_package_trees()["matrix.py"])
+
+
 def _referenced_names(tree: ast.AST) -> set[str]:
     return {
         node.id if isinstance(node, ast.Name) else node.attr

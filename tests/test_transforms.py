@@ -48,7 +48,7 @@ GF3 = PrimeField(3)
 BUILDERS = {
     "standard": build_standard,
     "cyclic": build_cyclic,
-    "extended": lambda code, lam: build_extended_golay(lam),
+    "extended": build_extended_golay,
 }
 
 
@@ -79,11 +79,16 @@ def test_cyclic_inflation_requires_check_poly():
 
 def test_row_combination_rows_are_sums():
     spec = golay_spec("extended_ternary")
-    he = _inflated(build_extended_golay(1))
+    he = _inflated(build_extended_golay(golay_spec("extended_ternary"), 1))
     assert he.data[:6].tolist() == spec.H.tolist()
     for i, (a, b) in enumerate(EXTENDED_GOLAY_COMBINATION_PAIRS):
         expected = (spec.H.data[a] + spec.H.data[b]) % 3
         assert he.data[6 + i].tolist() == expected.tolist()
+
+
+def test_row_combination_needs_a_6_by_12_parity_check():
+    with pytest.raises(ValueError, match="6 x 12"):
+        build_extended_golay(hamming74_systematic(), 1)
 
 
 def test_standard_build_reproduces_stored_matrix():
@@ -99,7 +104,7 @@ def test_standard_build_reproduces_stored_matrix():
 
 
 def test_extended_build_form_and_inverse():
-    t = build_extended_golay(1)
+    t = build_extended_golay(golay_spec("extended_ternary"), 1)
     assert t.form == "standard_combo"
     assert t.matrix == FieldMatrix(GF3, reference.EXTENDED_GOLAY12_TRANSFORM)
     assert t.inverse_matrix == FieldMatrix(GF3, reference.EXTENDED_GOLAY12_INVERSE)
