@@ -66,7 +66,7 @@ class FieldMatrix:
     __slots__ = ("field", "data", "_floats")
 
     def __init__(self, field: PrimeField, data):
-        self._set(field, _residues(field, data, 2, "matrix data must be 2-dimensional"))
+        self._set(field, _residues(field, data, (2,), "matrix data must be 2-dimensional"))
 
     @classmethod
     def _wrap(cls, field: PrimeField, data: np.ndarray, floats=None) -> "FieldMatrix":
@@ -191,22 +191,37 @@ class FieldMatrix:
         return "\n".join(" ".join(map(str, row)) for row in self.data.tolist())
 
 
-def _residues(field: PrimeField, data, ndim: int, shape_error: str) -> np.ndarray:
-    """`data` as a new int64 array of canonical residues with `ndim` dimensions.
+def _residues(field: PrimeField, data, ndims: tuple[int, ...], shape_error: str) -> np.ndarray:
+    """`data` as a new int64 array of canonical residues, with a dimension count in `ndims`.
 
-    The array is always a copy, so the caller's array is never aliased and
-    stays writable.
+    Entries must be integers: floats, bools, strings and other objects are
+    refused, not truncated or parsed. The array is always a copy, so the
+    caller's array is never aliased and stays writable.
     """
+    arr = data if isinstance(data, np.ndarray) else np.array(data, dtype=object)
+    kind = arr.dtype.kind
+    if not (kind == "i" or kind == "u" and arr.dtype.itemsize < 8):
+        # as Python objects: uint64 entries past 2**63 then overflow below
+        arr = arr.astype(object, copy=False)
+        bad = {t.__name__ for t in set(map(type, arr.flat)) if not _is_int_type(t)}
+        if bad:  # the rows of a ragged list stay lists
+            names = ", ".join(sorted(bad))
+            raise ValueError(f"entries must be integers, in rows of equal length; got {names}")
     try:
-        arr = np.array(data, dtype=np.int64)
+        arr = np.array(arr, dtype=np.int64)
     except OverflowError:
         raise ValueError("entries must lie in the int64 range [-2**63, 2**63)") from None
-    if arr.ndim != ndim:
+    if arr.ndim not in ndims:
         raise ValueError(f"{shape_error}, got shape {arr.shape}")
     # one unsigned comparison: negative entries wrap above 2**63
     if not (arr.view(np.uint64) < field.p).all():
         np.remainder(arr, field.p, out=arr)
     return arr
+
+
+def _is_int_type(t: type) -> bool:
+    """An integer type; bool subclasses int, but True is not an entry."""
+    return issubclass(t, (int, np.integer)) and not issubclass(t, bool)
 
 
 def mulmod(a, b, p: int) -> np.ndarray:
@@ -251,7 +266,12 @@ def _as_ints(x) -> np.ndarray:
 
 def as_vector(field: PrimeField, v) -> np.ndarray:
     """Coerce a sequence to a 1-D canonical-residue array over the field."""
-    return _residues(field, v, 1, "expected a 1-D vector")
+    return _residues(field, v, (1,), "expected a 1-D vector")
+
+
+def as_vectors(field: PrimeField, v) -> np.ndarray:
+    """Coerce one vector or a (rows, n) batch of them to canonical residues."""
+    return _residues(field, v, (1, 2), "expected a vector or a 2-D batch of them")
 
 
 def hstack(left: FieldMatrix, right: FieldMatrix) -> FieldMatrix:
@@ -457,11 +477,6 @@ def format_matrix_json(m: FieldMatrix) -> str:
     return json.dumps({"p": m.field.p, "rows": m.data.tolist()})
 
 
-def _is_json_int(x) -> bool:
-    """A JSON integer; int() would also truncate 7.9 and accept "7" or true."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def parse_matrix(text: str) -> FieldMatrix:
     """Parse either serialized matrix form.
 
@@ -478,9 +493,9 @@ def parse_matrix(text: str) -> FieldMatrix:
             raise ValueError('JSON matrix must have "p" and "rows" keys')
         p, rows = obj["p"], obj["rows"]
         rows_ok = isinstance(rows, list) and all(
-            isinstance(row, list) and all(map(_is_json_int, row)) for row in rows
+            isinstance(row, list) and all(_is_int_type(type(x)) for x in row) for row in rows
         )
-        if not (_is_json_int(p) and rows_ok):
+        if not (_is_int_type(type(p)) and rows_ok):
             raise ValueError('JSON matrix needs an integer "p" and "rows" of integer lists')
         return FieldMatrix(PrimeField(p), rows)
     lines = [ln.strip() for ln in s.splitlines() if ln.strip()]
@@ -502,5 +517,5 @@ def parse_matrix(text: str) -> FieldMatrix:
             raise ValueError(f"expected {ncols} entries per row, got {len(row)}")
     if nrows == 0:
         return FieldMatrix.zeros(PrimeField(p), 0, ncols)
-    # numpy parses each token with int(); FieldMatrix refuses what int64 cannot hold
-    return FieldMatrix(PrimeField(p), rows)
+    # FieldMatrix refuses what int64 cannot hold
+    return FieldMatrix(PrimeField(p), [list(map(int, row)) for row in rows])

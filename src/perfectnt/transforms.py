@@ -15,15 +15,12 @@ T is a codeword and vice versa: the lambda-eigenspace of T is the code
 itself, which is what makes these matrices transforms with a meaningful
 inverse on the one side and a parity check on the other.
 
-TransformSpec keeps T's closed-form structure, not the dense matrix. With
-r = N-k and H = [H_1 | H_2], null rows give T = [[M, H_2], [0, lambda*I_k]],
-M = H_1 + lambda*I_r, so det T = lambda^k det M and T^-1 = [[M^-1,
--lambda^-1 M^-1 H_2], [0, lambda^-1 I_k]]: an r x N top block over a scalar
-on the last k coordinates, applied in O(rN) (a fast Hamming NTT; the
-appendix's systematic assembly has the same shape). Cyclic shifts give
-multiplication by c(x) = lambda + x^r h(x) in GF(p)[x]/(x^N - 1), whose
-determinant Res(x^N - 1, c) and inverse c^-1 come from one extended Euclid
-(CyclicRing.inverse). Row combinations have no structure and stay dense.
+So H_e = A*K with K r x N spanning H's row space (r = N-k), and TransformSpec
+keeps T = lambda*I + A*K with only A's first m rows, the rest being zero (m = r
+for null rows and the appendix, else N). One tail certifies every build by r x r
+algebra: det T = lambda^(N-r) det(lambda*I_r + K*A) (Sylvester), and T^-1 =
+lambda^-1 I + A'*K with A' = -lambda^-1 A (lambda*I_r + K*A)^-1 (Woodbury), the
+same form. apply costs O(mN): for null rows, a fast Hamming NTT.
 """
 
 from __future__ import annotations
@@ -38,14 +35,14 @@ from .codes import CodeSpec, perfect_witness
 from .gf import PrimeField
 from .matrix import (
     FieldMatrix,
-    as_vector,
-    circulant_from_first_row,
+    as_vectors,
     determinant,
     format_matrix_text,
     hstack,
     inverse,
     kernel_basis,
     mulmod,
+    rref,
 )
 from .poly import CyclicRing, FieldPoly
 
@@ -70,45 +67,36 @@ class EigenvalueUnsuitableError(ValueError):
         )
 
 
-class _Dense:
-    """A matrix with no structure to exploit, kept and applied as it is."""
+class _Structured:
+    """scalar*I + A*K, with A (m x r) the nonzero leading rows and K r x N."""
 
-    def __init__(self, matrix: FieldMatrix):
-        self.dense = matrix
+    def __init__(self, scalar: int, a: FieldMatrix, k: FieldMatrix):
+        self.scalar, self.a, self.k = scalar, a, k
+        self.m, self.p = a.rows, k.field.p
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return mulmod(self.dense, vec, self.dense.field.p)
-
-
-class _Circulant(_Dense):
-    """Multiplication by c(x) in GF(p)[x]/(x^n - 1), applied through its circulant."""
-
-    def __init__(self, field: PrimeField, c: FieldPoly, n: int):
-        self.field, self.column = field, np.array(CyclicRing(n, field).to_vector(c))
+    @cached_property
+    def top(self) -> FieldMatrix:
+        """The first m rows: A*K + scalar*[I_m | 0]."""
+        rows = mulmod(self.a, self.k, self.p)
+        d = np.arange(self.m)
+        rows[d, d] = (rows[d, d] + self.scalar) % self.p
+        return FieldMatrix(self.k.field, rows)
 
     @cached_property
     def dense(self) -> FieldMatrix:
-        n = self.column.shape[0]
-        return circulant_from_first_row(self.field, self.column[-np.arange(n) % n])
-
-
-class _Block:
-    """[[top], [0 | scalar*I_k]]: an r x N top block over the scaled last k coordinates."""
-
-    def __init__(self, top: FieldMatrix, scalar: int):
-        self.top, self.scalar = top, scalar
-
-    @cached_property
-    def dense(self) -> FieldMatrix:
-        r, n = self.top.shape
-        bottom = np.zeros((n - r, n), dtype=np.int64)
-        bottom[:, r:] = self.scalar * np.eye(n - r, dtype=np.int64)
+        m, n = self.top.shape
+        if m == n:
+            return self.top
+        bottom = self.scalar * np.eye(n - m, n, m, dtype=np.int64)
         return FieldMatrix(self.top.field, np.vstack([self.top.data, bottom]))
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        p = self.top.field.p
-        head = mulmod(self.top, vec, p)
-        return np.concatenate([head, self.scalar * vec[self.top.rows :] % p])
+    def apply(self, vs: np.ndarray) -> np.ndarray:
+        """The product with one vector, or with each row of a (rows, N) batch."""
+        m, p = self.m, self.p
+        head = mulmod(self.top, vs.T, p).T
+        if m == vs.shape[-1]:
+            return head
+        return np.concatenate([head, self.scalar * vs[..., m:] % p], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -125,8 +113,8 @@ class TransformSpec:
     lam: int
     form: str
     det: int
-    _forward: _Dense | _Block = dataclass_field(compare=False)  # code, lam and form fix T
-    _inverse: _Dense | _Block = dataclass_field(compare=False)
+    _forward: _Structured = dataclass_field(compare=False)  # code, lam and form fix T
+    _inverse: _Structured = dataclass_field(compare=False)
 
     @property
     def field(self) -> PrimeField:
@@ -144,17 +132,20 @@ class TransformSpec:
     def inverse_matrix(self) -> FieldMatrix:
         return self._inverse.dense
 
-    def _vector(self, v) -> np.ndarray:
-        vec = as_vector(self.field, v)
-        if vec.shape[0] != self.n:
-            raise ValueError(f"expected a length-{self.n} vector, got {vec.shape[0]}")
-        return vec
+    def _vectors(self, v) -> np.ndarray:
+        """v as residues: one length-N vector or a (rows, N) batch."""
+        vs = as_vectors(self.field, v)
+        if vs.shape[-1] != self.n:
+            raise ValueError(f"expected a length-{self.n} vector, got {vs.shape[-1]}")
+        return vs
 
     def apply(self, v) -> np.ndarray:
-        return self._forward.apply(self._vector(v))
+        """T v for one vector; for a (rows, N) batch, T applied to each row."""
+        return self._forward.apply(self._vectors(v))
 
     def apply_inverse(self, v) -> np.ndarray:
-        return self._inverse.apply(self._vector(v))
+        """T^-1 v for one vector; for a (rows, N) batch, T^-1 applied to each row."""
+        return self._inverse.apply(self._vectors(v))
 
     def first_column(self) -> np.ndarray:
         return self.matrix.column(0)
@@ -163,77 +154,72 @@ class TransformSpec:
         return f"TransformSpec({self.code.label}, lambda={self.lam}, form={self.form})"
 
 
-def _finish(code: CodeSpec, lam: int, t_matrix: FieldMatrix, form: str) -> TransformSpec:
-    """Certify a dense T: refuse a zero determinant, keep the inverse."""
-    lam = lam % code.field.p
-    det = determinant(t_matrix)
-    if det == 0:
-        raise EigenvalueUnsuitableError(lam, code.label)
-    return TransformSpec(code, lam, form, det, _Dense(t_matrix), _Dense(inverse(t_matrix)))
+def _finish(code: CodeSpec, lam: int, a: FieldMatrix, k: FieldMatrix, form: str) -> TransformSpec:
+    """Certify T = lambda*I + A*K, refusing a zero determinant, and invert it.
 
-
-def _finish_block(code: CodeSpec, lam: int, top: FieldMatrix, form: str) -> TransformSpec:
-    """Certify T = [[M, H_2], [0, lambda*I_k]], given its top rows, and invert it by blocks.
-
-    lambda is already reduced mod p; det T = lambda^k * det M.
+    A holds the first m rows of an N x r factor, K is r x N. Only the r x r
+    matrix lambda*I_r + K*A is ever factored (see the module docstring). At
+    lambda = 0, T is invertible only when r = N, and then T itself is r x r.
     """
-    p = code.field.p
-    r, n = top.shape
-    m = FieldMatrix(code.field, top.data[:, :r])
-    det = pow(lam, n - r, p) * determinant(m) % p
+    field, p, lam = code.field, code.field.p, lam % code.field.p
+    r, n = k.shape
+    forward = _Structured(lam, a, k)
+    core = FieldMatrix(field, mulmod(k[:, : a.rows], a, p) + lam * np.eye(r, dtype=np.int64))
+    det = pow(lam, n - r, p) * determinant(core) % p
     if det == 0:
         raise EigenvalueUnsuitableError(lam, code.label)
-    m_inv = inverse(m)
-    lam_inv = pow(lam, -1, p) if lam else 0  # lambda = 0 leaves no tail (k = 0)
-    tail = mulmod(m_inv, top.data[:, r:], p) * (p - lam_inv) % p
-    top_inv = FieldMatrix(code.field, np.hstack([m_inv.data, tail]))
-    return TransformSpec(code, lam, form, det, _Block(top, lam), _Block(top_inv, lam_inv))
+    if lam == 0:
+        backward = _Structured(0, inverse(forward.top), FieldMatrix.identity(field, n))
+    else:
+        lam_inv = pow(lam, -1, p)
+        a_inv = mulmod(a, inverse(core), p) * (p - lam_inv) % p
+        backward = _Structured(lam_inv, FieldMatrix(field, a_inv), k)
+    return TransformSpec(code, lam, form, det, forward, backward)
 
 
 def build_standard(code: CodeSpec, lam: int) -> TransformSpec:
-    """Transform from a parity check inflated with null rows: top rows H + lambda*[I_r | 0]."""
-    lam = lam % code.field.p
-    r, n = code.H.shape
-    top = FieldMatrix(code.field, code.H.data + lam * np.eye(r, n, dtype=np.int64))
-    return _finish_block(code, lam, top, FORM_STANDARD_NULLROW)
+    """Transform from a parity check inflated with null rows: A = I_r, K = H."""
+    identity = FieldMatrix.identity(code.field, code.redundancy)
+    return _finish(code, lam, identity, code.H, FORM_STANDARD_NULLROW)
 
 
 def build_cyclic(code: CodeSpec, lam: int) -> TransformSpec:
     """Transform whose H_e is the full circulant of the check polynomial.
 
-    T is multiplication by c(x) = lambda + x^(N-k) h(x) mod x^N - 1.
+    T is multiplication by c(x) = lambda + x^(N-k) h(x) mod x^N - 1, so
+    H_e[i, j] = column[(i - j) % N], column the coefficients of x^(N-k) h(x).
+    H_e has rank N-k, and its first N-k rows are independent (triangular,
+    h's leading coefficient on the diagonal), so they span its rows. K is
+    their reduced row echelon form R; with S its pivot columns R[:, S] = I,
+    so H_e = H_e[:, S] R and A = H_e[:, S].
     """
     if code.h is None:
         raise ValueError(
             f"{code.label} has no check polynomial; cyclic inflation undefined"
         )
-    field, n, lam = code.field, code.N, lam % code.field.p
+    field, n, r = code.field, code.N, code.redundancy
     ring = CyclicRing(n, field)
-    shifted = FieldPoly.monomial(field, code.redundancy) * code.h
-    c = ring.reduce(shifted + FieldPoly((lam,), field))
-    det, c_inv = ring.inverse(c)
-    if det == 0:
-        raise EigenvalueUnsuitableError(lam, code.label)
-    return TransformSpec(
-        code, lam, FORM_CYCLIC, det, _Circulant(field, c, n), _Circulant(field, c_inv, n)
-    )
+    column = np.array(ring.to_vector(ring.reduce(FieldPoly.monomial(field, r) * code.h)))
+    first_rows = column[(np.arange(r)[:, None] - np.arange(n)) % n]
+    reduced, _, pivots = rref(FieldMatrix(field, first_rows))
+    a = column[(np.arange(n)[:, None] - np.array(pivots)) % n]
+    return _finish(code, lam, FieldMatrix(field, a), reduced, FORM_CYCLIC)
 
 
 def build_extended_golay(code: CodeSpec, lam: int) -> TransformSpec:
     """Transform whose H_e appends six sums of pairs of the six parity rows.
 
-    Defined for the extended ternary Golay code, whose parity check is 6 x 12.
+    Defined for the extended ternary Golay code, whose parity check is 6 x 12:
+    A = [I_6; C], where row i of C selects the i-th pair, and K = H.
     """
     if code.H.shape != (6, 12):
         raise ValueError(
             f"{code.label} has a {code.H.rows} x {code.H.cols} parity check; "
             "row-combination inflation needs 6 x 12 (the extended ternary Golay code)"
         )
-    lam = lam % code.field.p
-    h = code.H.data
-    a, b = np.array(EXTENDED_GOLAY_COMBINATION_PAIRS).T
-    t_matrix = np.vstack([h, h[a] + h[b]]) + lam * np.eye(code.N, dtype=np.int64)
-    return _finish(code, lam, FieldMatrix(code.field, t_matrix), FORM_STANDARD_COMBO)
+    rows = np.eye(6, dtype=np.int64)
+    a = np.vstack([rows, rows[np.array(EXTENDED_GOLAY_COMBINATION_PAIRS)].sum(axis=1)])
+    return _finish(code, lam, FieldMatrix(code.field, a), code.H, FORM_STANDARD_COMBO)
 
 
 def build_appendix_systematic(p_block: FieldMatrix, lam: int) -> TransformSpec:
@@ -246,8 +232,8 @@ def build_appendix_systematic(p_block: FieldMatrix, lam: int) -> TransformSpec:
         [ lambda*I - P^T | I        ]
         [ 0              | lambda*I ]
 
-    with rectangular identities where the blocks are not square. For
-    N - k <= k this equals the null-row standard build on the same H.
+    with rectangular identities where the blocks are not square: A = I_r.
+    For N - k <= k this equals the null-row standard build on the same H.
     lambda = 0 always gives a singular matrix, and unusual P blocks can
     be singular at nonzero lambda too; the determinant check rejects both.
     """
@@ -258,10 +244,11 @@ def build_appendix_systematic(p_block: FieldMatrix, lam: int) -> TransformSpec:
         p_block.transpose().scaled(-1), FieldMatrix.identity(field, r)
     )
     code = CodeSpec(field, n, k, None, h_matrix, None, f"systematic({n},{k})")
-    top = np.hstack(
-        [lam * np.eye(r, k, dtype=np.int64) - p_block.data.T, np.eye(r, dtype=np.int64)]
-    )
-    return _finish_block(code, lam, FieldMatrix(field, top), FORM_APPENDIX)
+    # the top block less lambda*[I_r | 0]: H, less lambda where the top's
+    # lambda*I and I blocks overlap (r > k)
+    k_matrix = h_matrix.data - lam * np.eye(r, n, dtype=np.int64) * (np.arange(n) >= k)
+    k_matrix = FieldMatrix(field, k_matrix)
+    return _finish(code, lam, FieldMatrix.identity(field, r), k_matrix, FORM_APPENDIX)
 
 
 # -- eigenstructure ------------------------------------------------------------
@@ -318,9 +305,7 @@ def apply_via_polynomial(t: TransformSpec, v) -> np.ndarray:
     """
     if t.form != FORM_CYCLIC:
         raise ValueError(f"polynomial application needs a cyclic transform, got {t.form}")
-    vs = FieldMatrix(t.field, v).data if np.ndim(v) == 2 else as_vector(t.field, v)
-    if vs.shape[-1] != t.n:
-        raise ValueError(f"expected a length-{t.n} vector, got {vs.shape[-1]}")
+    vs = t._vectors(v)
     c = t.first_column()
     out = np.zeros_like(vs)
     for j in np.flatnonzero(c):

@@ -30,7 +30,6 @@ from .matrix import (
     char_poly,
     circulant_from_first_row,
     kernel_basis,
-    mulmod,
     multiplicative_order,
     rref,
 )
@@ -277,7 +276,7 @@ def run_target(
         checks.append(CheckResult("perfect_witness", witness == want, want, witness))
 
     # T is linear, so fixing a basis of the code fixes all p^k codewords
-    fixed = np.array_equal(mulmod(code_basis, t.matrix.transpose(), p), code_basis.data)
+    fixed = np.array_equal(t.apply(code_basis.data), code_basis.data)
     checks.append(
         CheckResult(
             "codeword_invariance",
@@ -289,8 +288,7 @@ def run_target(
 
     rng = np.random.default_rng(seed)
     vs = rng.integers(0, p, size=(trials, t.n), dtype=np.int64)
-    forward = mulmod(vs, t.matrix.transpose(), p)
-    back = mulmod(forward, t.inverse_matrix.transpose(), p)
+    back = t.apply_inverse(t.apply(vs))
     rt_fails = int(np.count_nonzero(np.any(back != vs, axis=1)))
     checks.append(
         CheckResult(

@@ -135,6 +135,51 @@ def test_residues_copy_the_callers_array(layout):
     ]
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        [1.5, 2.9],
+        [1.0, 2.0],
+        ["12", "3"],
+        [True, False],
+        [1, True],
+        [None, 1],
+        [1 + 0j, 1],
+        [np.float32(1), 2],
+        np.array([1.5, 2.0]),
+        np.array([True, False]),
+        np.array(["1", "2"]),
+    ],
+    ids=lambda data: repr(data).replace(" ", ""),
+)
+def test_residues_refuse_non_integer_entries(data):
+    # a float is not truncated and a digit string is not parsed
+    with pytest.raises(ValueError, match="entries must be integers"):
+        as_vector(PrimeField(7), data)
+    with pytest.raises(ValueError, match="entries must be integers"):
+        FieldMatrix(PrimeField(7), [data, data])
+
+
+@pytest.mark.parametrize(
+    "data,want",
+    [
+        (np.array([3, 9], dtype=np.uint8), [3, 2]),
+        (np.array([3, 2**40], dtype=np.uint64), [3, 2**40 % 7]),
+        (np.array([-3, 9], dtype=np.int32), [4, 2]),
+        ([np.int64(9), np.uint16(3)], [2, 3]),
+        ([2**63], "int64"),
+        ([-1, 2**63], "int64"),
+        (np.array([2**64 - 1], dtype=np.uint64), "int64"),
+    ],
+)
+def test_residues_take_every_integer_type(data, want):
+    if want == "int64":
+        with pytest.raises(ValueError, match="int64 range"):
+            as_vector(PrimeField(7), data)
+    else:
+        assert as_vector(PrimeField(7), data).tolist() == want
+
+
 def test_shape_helpers():
     m = FieldMatrix(GF2, [[1, 0, 1], [0, 1, 1]])
     assert (m.rows, m.cols) == (2, 3)

@@ -138,3 +138,22 @@ def test_every_method_has_a_caller_outside_the_tests():
                 if node.name not in external and outside <= 0:
                     unused.append(f"{name}:{cls.name}.{node.name}")
     assert not unused, f"methods without a caller outside the tests: {unused}"
+
+
+def test_transforms_are_constructed_only_by_the_certifying_tail():
+    # every TransformSpec passes through transforms._finish, where its
+    # determinant is checked and its inverse is formed
+    trees = _package_trees()
+    finish = next(
+        node for node in trees["transforms.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_finish"
+    )
+    inside = {id(node) for node in ast.walk(finish)}
+    sites = {
+        f"{name}:{node.lineno}": id(node) in inside
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "TransformSpec" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert list(sites.values()) == [True], f"TransformSpec(...) outside _finish: {sites}"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from perfectnt import matrix, reference, transforms
 from perfectnt.codes import (
+    CodeSpec,
     UnsupportedParametersError,
     cyclic_hamming_spec,
     golay_spec,
@@ -68,6 +69,9 @@ def test_null_row_inflation():
 def test_cyclic_inflation_matches_stored_circulant():
     spec = cyclic_hamming_spec(2, 3)
     assert _inflated(build_cyclic(spec, 1)) == FieldMatrix(GF2, reference.CYCLIC_HAMMING7_INFLATED)
+    # the circulant comes from h alone, whatever parity check the code carries
+    other = CodeSpec(GF2, 7, 4, None, hamming74_systematic().H, spec.h, "other")
+    assert _inflated(build_cyclic(other, 1)) == FieldMatrix(GF2, reference.CYCLIC_HAMMING7_INFLATED)
 
 
 def test_cyclic_inflation_requires_check_poly():
@@ -119,6 +123,21 @@ def test_unsuitable_lambda_raises_with_value():
         build_cyclic(golay_spec("ternary"), 0)
 
 
+@pytest.mark.parametrize(
+    "field,h", [(GF2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), (GF3, [[2, 1], [1, 0]])], ids=["gf2", "gf3"]
+)
+def test_zero_dimensional_code_admits_lambda_zero(field, h):
+    # k = 0 leaves r = N, so T = H at lambda = 0 is invertible: the build must
+    # not divide by lambda
+    spec = CodeSpec(field, len(h), 0, None, FieldMatrix(field, h), None, "zero")
+    t = build_standard(spec, 0)
+    assert t.det == determinant(spec.H) != 0
+    assert t.matrix == spec.H
+    assert t.inverse_matrix == inverse(spec.H)
+    v = np.arange(len(h)) % field.p
+    assert np.array_equal(t.apply_inverse(t.apply(v)), v)
+
+
 def test_eigen_candidates_tables():
     assert eigen_candidates(hamming74_systematic(), build_standard) == [(0, 0), (1, 1)]
     systematic = eigen_candidates(golay_spec("ternary_systematic"), build_standard)
@@ -163,6 +182,8 @@ def test_apply_and_inverse_roundtrip(golden):
         assert np.array_equal(t.apply_inverse(t.apply(v)), v % t.field.p)
     with pytest.raises(ValueError):
         golden["hamming74"].apply([1, 0])
+    with pytest.raises(ValueError):
+        golden["hamming74"].apply_inverse([[1, 0]] * 7)
 
 
 def test_apply_via_polynomial_agrees(golden):
@@ -227,7 +248,10 @@ def test_property_failures_count_trials(golden):
     t = golden["hamming7-cyclic"]
     m = t.matrix.data.copy()
     m[:, [2, 5]] = m[:, [5, 2]]
-    broken = _finish(t.code, t.lam, FieldMatrix(t.field, m), t.form)
+    # through the one tail as T = lambda*I + A*K with A = M - lambda*I, K = I_N
+    a = FieldMatrix(t.field, m) - FieldMatrix.identity(t.field, t.n).scaled(t.lam)
+    broken = _finish(t.code, t.lam, a, FieldMatrix.identity(t.field, t.n), t.form)
+    assert broken.matrix == FieldMatrix(t.field, m)
     assert broken.form == "cyclic"
     assert broken.inverse_matrix == inverse(broken.matrix)
     assert broken.det == determinant(broken.matrix)
@@ -389,9 +413,17 @@ def test_structure_matches_dense_path(p, m):
             assert t.matrix == dense, (p, m, form, lam)
             assert t.det == determinant(t.matrix) != 0, (p, m, form, lam)
             assert t.inverse_matrix == inverse(t.matrix), (p, m, form, lam)
-            for v in rng.integers(0, p, size=(4, spec.N)):
-                assert np.array_equal(t.apply(v), t.matrix.mat_vec(v))
-                assert np.array_equal(t.apply_inverse(v), t.inverse_matrix.mat_vec(v))
+            if form == "cyclic":
+                # the ring route: det T = Res(x^N - 1, c), and T^-1's first column is c^-1
+                ring = CyclicRing(spec.N, spec.field)
+                det, c_inv = ring.inverse(FieldPoly(tuple(t.first_column().tolist()), spec.field))
+                assert t.det == det, (p, m, lam)
+                assert tuple(t.inverse_matrix.column(0).tolist()) == ring.to_vector(c_inv)
+            vs = rng.integers(0, p, size=(4, spec.N))
+            for route, dense_t in ((t.apply, t.matrix), (t.apply_inverse, t.inverse_matrix)):
+                want = np.array([dense_t.mat_vec(v) for v in vs])
+                assert np.array_equal(route(vs), want), (p, m, form, lam)
+                assert all(np.array_equal(route(v), w) for v, w in zip(vs, want))
 
 
 # each parameter: (form, code constructor) pairs
@@ -437,10 +469,13 @@ def test_eigen_candidates_match_dense_determinants(forms):
         (build_standard, hamming_parity_check(2, 8)),
         (build_standard, hamming_parity_check(7, 4)),
         (build_cyclic, cyclic_hamming_spec(2, 8)),
+        (build_extended_golay, golay_spec("extended_ternary")),
+        (build_appendix_systematic, FieldMatrix(GF3, -golay_spec("ternary_systematic").H[:, :6].T)),
     ],
-    ids=["standard-255", "standard-400", "cyclic-255"],
+    ids=["standard-255", "standard-400", "cyclic-255", "extended-12", "appendix-11"],
 )
 def test_structured_builds_take_no_dense_determinant(monkeypatch, build, spec):
+    # every builder certifies through one r x r determinant and inverse
     shapes = []
     for module in (transforms, matrix):
         for name in ("determinant", "inverse"):
@@ -448,12 +483,11 @@ def test_structured_builds_take_no_dense_determinant(monkeypatch, build, spec):
             spy = lambda m, real=real: shapes.append(m.shape) or real(m)
             monkeypatch.setattr(module, name, spy)
     t = build(spec, 1)
-    eigen_candidates(spec, build)
-    r = spec.redundancy
-    assert all(shape == (r, r) for shape in shapes), shapes
-    if build is build_cyclic:
-        assert shapes == []
-    assert t.n == spec.N >= 255
+    r = t.code.redundancy
+    if isinstance(spec, CodeSpec):
+        eigen_candidates(spec, build)
+    assert shapes and all(shape == (r, r) for shape in shapes), shapes
+    assert r < t.n
 
 
 def test_cyclic_1023_builds_and_2047_is_refused_quickly():
