@@ -23,6 +23,20 @@ P - floor(P/p)*p, and the margin of p makes that exact. P/p lies in
 value is within half an ulp of it, which is less than 1/p, and never below
 the float q: its floor is q. Then q*p <= P and P - q*p are exact.
 
+A transform T = s*I + A*K (A m x r, K r x N, the rows of A past m zero) is
+applied without forming T: :func:`mulmod` takes it as the factored operand
+(s, A, K) and computes s*v + A*(K*v), O(rN) per vector. An entry of K*v is
+a sum of N products of residues, at most N*(p-1)**2, and an entry of
+A*(K*v) a sum of r products of a residue and such an entry, at most
+r*N*(p-1)**3; no partial sum of either product exceeds that bound.
+So while r*N*(p-1)**3 <= 2**24 both products run in float32, and while it
+is <= 2**53 in float64, exactly, by the argument above. The result is an
+integer below 2**53 and converts to int64 exactly; s*v, below p**2, is
+added there, and one remainder reduces the N-vector. That reduction is in
+int64, so the chain needs no margin of p. Past 2**53, K*v is reduced
+first, and the two products are ordinary ones with inner dimensions N and
+r, each under the bounds above.
+
 The elimination update (:func:`_clear_column`) is elementwise and keeps
 its products below p**2.
 
@@ -191,6 +205,9 @@ class FieldMatrix:
         return "\n".join(" ".join(map(str, row)) for row in self.data.tolist())
 
 
+_INT64_RANGE = "entries must lie in the int64 range [-2**63, 2**63)"
+
+
 def _residues(field: PrimeField, data, ndims: tuple[int, ...], shape_error: str) -> np.ndarray:
     """`data` as a new int64 array of canonical residues, with a dimension count in `ndims`.
 
@@ -210,11 +227,11 @@ def _residues(field: PrimeField, data, ndims: tuple[int, ...], shape_error: str)
     try:
         arr = np.array(arr, dtype=np.int64)
     except OverflowError:
-        raise ValueError("entries must lie in the int64 range [-2**63, 2**63)") from None
+        raise ValueError(_INT64_RANGE) from None
     if arr.ndim not in ndims:
         raise ValueError(f"{shape_error}, got shape {arr.shape}")
-    # one unsigned comparison: negative entries wrap above 2**63
-    if not (arr.view(np.uint64) < field.p).all():
+    # one unsigned maximum: negative entries wrap above 2**63
+    if arr.size and arr.view(np.uint64).max() >= field.p:
         np.remainder(arr, field.p, out=arr)
     return arr
 
@@ -233,7 +250,28 @@ def mulmod(a, b, p: int) -> np.ndarray:
     docstring): for products of at least FLOAT_MIN_MACS multiply-adds, float32
     BLAS while bound + p <= 2**24 and float64 BLAS while bound + p <= 2**53;
     otherwise the int64 product below 2**63, and a ValueError above.
+
+    `a` may also be factored, a tuple (s, A, K) standing for s*I + A@K with A
+    m x r, K r x N and A's rows past m zero; `b` is then an int64 array with
+    N rows. The chain s*b + A@(K@b) bounds its partial sums by
+    r*N*(p-1)**3: float32 while that is <= 2**24, float64 while it is
+    <= 2**53, each reduced once in int64 after adding s*b; past that, K@b
+    is reduced first.
     """
+    if isinstance(a, tuple):
+        scalar, a, k = a
+        r, n = k.shape
+        bound = r * n * (p - 1) ** 3
+        for dtype, limit in _FLOAT_TIERS:
+            if bound <= limit:
+                chained = _as_floats(a, dtype) @ (_as_floats(k, dtype) @ b.astype(dtype))
+                chained = chained.astype(np.int64)
+                break
+        else:
+            chained = mulmod(a, mulmod(k, b, p), p)
+        out = scalar * b
+        out[: len(chained)] += chained
+        return np.remainder(out, p, out=out)
     inner = a.shape[-1]
     bound = inner * (p - 1) ** 2
     macs = math.prod(a.shape) * math.prod(b.shape) // max(inner, 1)
@@ -257,7 +295,8 @@ def _reduce(product: np.ndarray, p: int) -> np.ndarray:
 
 
 def _as_floats(x, dtype) -> np.ndarray:
-    return (x._float_data() if isinstance(x, FieldMatrix) else x).astype(dtype, copy=False)
+    floats = x._float_data() if isinstance(x, FieldMatrix) else x
+    return floats if floats.dtype == dtype else floats.astype(dtype)
 
 
 def _as_ints(x) -> np.ndarray:
@@ -330,25 +369,25 @@ def rref(m: FieldMatrix) -> tuple[FieldMatrix, int, tuple[int, ...]]:
 
 
 def kernel_basis(m: FieldMatrix) -> FieldMatrix:
-    """Canonical basis of the right null space {v : m v = 0}.
+    """Canonical basis of the right null space {v : m v = 0}: its RREF.
 
-    The usual free-column basis is extracted from the RREF and then the
-    basis itself is put in RREF, so two matrices have the same null
-    space exactly when this function returns identical matrices. The
-    result has (cols - rank) rows; a trivial kernel gives a 0 x cols
-    matrix.
+    Two matrices have the same null space exactly when this function
+    returns identical matrices. The result has (cols - rank) rows; a
+    trivial kernel gives a 0 x cols matrix.
+
+    One elimination, of m with its columns reversed. In the free-column
+    basis of that RREF, the vector of free column f has a 1 at f, zeros at
+    the other free columns, and its other nonzeros in pivot columns left of
+    f. Reversing the columns makes that 1 the leading entry, and reversing
+    the rows puts the leading entries in increasing order: the result is in
+    RREF, which a subspace has only one of.
     """
-    reduced, rk, pivots = rref(m)
+    reduced, rk, pivots = rref(FieldMatrix._wrap(m.field, m.data[:, ::-1]))
     free = np.delete(np.arange(m.cols), list(pivots))
-    if not free.size:
-        return FieldMatrix.zeros(m.field, 0, m.cols)
     basis = np.zeros((free.size, m.cols), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, list(pivots)] = -reduced.data[:rk, free].T % m.field.p
-    canonical, brank, _ = rref(FieldMatrix(m.field, basis))
-    # the free-column basis is always independent
-    assert brank == free.size
-    return canonical
+    return FieldMatrix._wrap(m.field, np.ascontiguousarray(basis[::-1, ::-1]))
 
 
 def determinant(m: FieldMatrix) -> int:
@@ -515,7 +554,11 @@ def parse_matrix(text: str) -> FieldMatrix:
     for row in rows:
         if len(row) != ncols:
             raise ValueError(f"expected {ncols} entries per row, got {len(row)}")
-    if nrows == 0:
-        return FieldMatrix.zeros(PrimeField(p), 0, ncols)
-    # FieldMatrix refuses what int64 cannot hold
-    return FieldMatrix(PrimeField(p), [list(map(int, row)) for row in rows])
+    field = PrimeField(p)
+    # int() yields only ints, never a bool or a float, so the tokens go to
+    # int64 directly, without the type scan of an object array
+    try:
+        data = np.array([list(map(int, row)) for row in rows], dtype=np.int64)
+    except OverflowError:
+        raise ValueError(_INT64_RANGE) from None
+    return FieldMatrix(field, data.reshape(nrows, ncols))

@@ -20,7 +20,8 @@ keeps T = lambda*I + A*K with only A's first m rows, the rest being zero (m = r
 for null rows and the appendix, else N). One tail certifies every build by r x r
 algebra: det T = lambda^(N-r) det(lambda*I_r + K*A) (Sylvester), and T^-1 =
 lambda^-1 I + A'*K with A' = -lambda^-1 A (lambda*I_r + K*A)^-1 (Woodbury), the
-same form. apply costs O(mN): for null rows, a fast Hamming NTT.
+same form. apply computes lambda*v + A*(K*v), O(rN) per vector with r close
+to log_p N for Hamming codes: a fast Hamming NTT for every inflation.
 """
 
 from __future__ import annotations
@@ -71,32 +72,32 @@ class _Structured:
     """scalar*I + A*K, with A (m x r) the nonzero leading rows and K r x N."""
 
     def __init__(self, scalar: int, a: FieldMatrix, k: FieldMatrix):
-        self.scalar, self.a, self.k = scalar, a, k
-        self.m, self.p = a.rows, k.field.p
+        self.factors = (scalar, a, k)  # the factored operand of mulmod
+        self.p = k.field.p
 
     @cached_property
     def top(self) -> FieldMatrix:
         """The first m rows: A*K + scalar*[I_m | 0]."""
-        rows = mulmod(self.a, self.k, self.p)
-        d = np.arange(self.m)
-        rows[d, d] = (rows[d, d] + self.scalar) % self.p
-        return FieldMatrix(self.k.field, rows)
+        scalar, a, k = self.factors
+        rows = mulmod(a, k, self.p)
+        d = np.arange(a.rows)
+        rows[d, d] = (rows[d, d] + scalar) % self.p
+        return FieldMatrix(k.field, rows)
 
     @cached_property
     def dense(self) -> FieldMatrix:
         m, n = self.top.shape
         if m == n:
             return self.top
-        bottom = self.scalar * np.eye(n - m, n, m, dtype=np.int64)
+        bottom = self.factors[0] * np.eye(n - m, n, m, dtype=np.int64)
         return FieldMatrix(self.top.field, np.vstack([self.top.data, bottom]))
 
     def apply(self, vs: np.ndarray) -> np.ndarray:
-        """The product with one vector, or with each row of a (rows, N) batch."""
-        m, p = self.m, self.p
-        head = mulmod(self.top, vs.T, p).T
-        if m == vs.shape[-1]:
-            return head
-        return np.concatenate([head, self.scalar * vs[..., m:] % p], axis=-1)
+        """The product with one vector, or with each row of a (rows, N) batch.
+
+        scalar*v + A*(K*v), O(rN) per vector; T itself is never formed.
+        """
+        return mulmod(self.factors, vs.T, self.p).T
 
 
 @dataclass(frozen=True)

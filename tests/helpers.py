@@ -7,7 +7,7 @@ another way, so the tests can compare the two.
 import numpy as np
 
 from perfectnt.codes import CodeSpec, all_codewords
-from perfectnt.matrix import FieldMatrix, kernel_basis
+from perfectnt.matrix import FieldMatrix, kernel_basis, rref
 from perfectnt.poly import FieldPoly
 
 
@@ -16,6 +16,21 @@ def poly_gcd(a: FieldPoly, b: FieldPoly) -> FieldPoly:
     while not b.is_zero():
         a, b = b, a % b
     return a if a.is_zero() else a.scaled(a.field.inv(a.coeffs[-1]))
+
+
+def kernel_basis_two_eliminations(m: FieldMatrix) -> FieldMatrix:
+    """The RREF of the null space of m: the free-column basis of rref(m),
+    itself put in RREF by a second elimination."""
+    reduced, rk, pivots = rref(m)
+    free = np.delete(np.arange(m.cols), list(pivots))
+    if not free.size:
+        return FieldMatrix.zeros(m.field, 0, m.cols)
+    basis = np.zeros((free.size, m.cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, list(pivots)] = -reduced.data[:rk, free].T % m.field.p
+    canonical, brank, _ = rref(FieldMatrix(m.field, basis))
+    assert brank == free.size  # the free-column basis is always independent
+    return canonical
 
 
 def generator_from_parity(spec: CodeSpec) -> FieldMatrix:

@@ -217,6 +217,25 @@ def test_oversized_modulus_in_transform_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text,reason",
+    [
+        ("h\n7 2 2\n1 0\n0 1.5\n", "invalid literal for int() with base 10: '1.5'"),
+        ("h\n7 2 2\n1 0\n0 -9223372036854775809\n", "entries must lie in the int64 range [-2**63, 2**63)"),
+        ("7 2 2\n9223372036854775808 0\n0 1\n", "entries must lie in the int64 range [-2**63, 2**63)"),
+    ],
+    ids=["token", "below-int64", "above-int64"],
+)
+def test_text_matrix_token_refusals_keep_their_line(capsys, tmp_path, text, reason):
+    # the text body goes to int64 without an object array; a token int()
+    # refuses and one past int64 still give these exact lines
+    path = tmp_path / "t.txt"
+    path.write_text(text)
+    status, out, err = run(capsys, "invert", "--transform", str(path), "--vector", "1,1")
+    assert (status, out) == (1, "")
+    assert err == f"error: cannot parse matrix from {path}: {reason}\n"
+
+
+@pytest.mark.parametrize(
     "key,argv",
     [
         ("gen-cyclic255-lambda1", ["gen", *CYCLIC255, "--lambda", "1"]),

@@ -26,7 +26,7 @@ from perfectnt.matrix import (
 )
 from perfectnt.poly import CyclicRing, FieldPoly
 
-from helpers import poly_gcd
+from helpers import kernel_basis_two_eliminations, poly_gcd
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -260,6 +260,24 @@ def test_kernel_invariant_under_row_operations():
     # replace row 1 by 2*row0 + row1: same row space, same kernel
     m2 = FieldMatrix(GF3, [[1, 2, 0, 1], [2, 2, 1, 0]])
     assert kernel_basis(m) == kernel_basis(m2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 257])
+def test_kernel_basis_matches_two_eliminations(p):
+    # the one-elimination basis against the free-column basis put in RREF by a
+    # second elimination; sparse rows, zero columns and repeated rows make
+    # rank deficiency and empty pivot columns common
+    field = PrimeField(p)
+    rng = np.random.default_rng(p)
+    for _ in range(300):
+        rows, cols = rng.integers(1, 9), rng.integers(1, 14)
+        density = rng.choice([0.1, 0.3, 0.6, 1.0])
+        a = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+        a[:, rng.integers(0, cols, size=rng.integers(0, 3))] = 0
+        if rows > 1:
+            a[rng.integers(1, rows)] = a[0] * rng.integers(0, p) % p
+        m = FieldMatrix(field, a)
+        assert kernel_basis(m) == kernel_basis_two_eliminations(m), a.tolist()
 
 
 def test_determinant_examples():
@@ -511,6 +529,84 @@ def test_mulmod_path_follows_the_bound(monkeypatch):
         assert path(a, b, 7) == want, (a_shape, b_shape)
         assert np.array_equal(mulmod(a, b, 7), np.matmul(a, b) % 7)
     assert 23 * 22 < matrix.FLOAT_MIN_MACS <= 64 * 400 * 400
+
+
+def python_chain(s, a, k, v, p):
+    """(s*I + A@K) @ v % p with Python ints, A's rows past its own zero."""
+    head = np.array(python_product(a, np.array(python_product(k, v, p)), p), dtype=object)
+    out = s * v.astype(object)
+    out[: len(head)] += head
+    return (out % p).tolist()
+
+
+def test_chained_mulmod_path_follows_the_bound(monkeypatch):
+    # the factored operand (s, A, K), A m x r and K r x N: float32 while
+    # r*N*(p-1)**3 <= 2**24, float64 while <= 2**53, K@v reduced first past that
+    floated, inner_calls = [], []
+    real_floats, real_mulmod = matrix._as_floats, matrix.mulmod
+
+    def float_spy(x, dtype):
+        floated.append(np.dtype(dtype).name)
+        if not compute:
+            raise _PathChosen
+        return real_floats(x, dtype)
+
+    def kernel_spy(a, b, p):
+        inner_calls.append(a)
+        return real_mulmod(a, b, p)
+
+    monkeypatch.setattr(matrix, "_as_floats", float_spy)
+    monkeypatch.setattr(matrix, "mulmod", kernel_spy)  # the kernel calling itself
+
+    def path(s, a, k, v, p):
+        floated.clear()
+        inner_calls.clear()
+        try:
+            got = real_mulmod((s, a, k), v, p)
+            assert got.dtype == np.int64
+            assert got.tolist() == python_chain(s, a, k, v, p)
+        except _PathChosen:  # only while not computing
+            pass
+        return "reduced first" if inner_calls else floated[0]
+
+    def full(shape, x):
+        # zero-stride: nothing of this size is allocated until a float copy
+        return np.broadcast_to(np.int64(x), shape)
+
+    compute = True
+    rng = np.random.default_rng(12)
+    # (p, m, r, N, batch columns or None, path); 216 = 6**3 and 2**48 = 65536**3
+    for p, m, r, n, cols, want in (
+        (7, 4, 4, 19418, None, "float32"),  # 4 * 19418 * 216 <= 2**24
+        (7, 4, 4, 19419, None, "float64"),
+        (7, 19418, 4, 19418, None, "float32"),  # m = N, as for cyclic forms
+        (7, 2, 4, 19419, 3, "float64"),
+        (257, 1, 1, 1, None, "float32"),  # 256**3 = 2**24
+        (257, 2, 1, 2, 2, "float64"),
+        (65537, 3, 4, 8, None, "float64"),  # 32 * 2**48 = 2**53
+        (65537, 11, 3, 11, None, "reduced first"),
+        (65537, 2, 3, 11, 4, "reduced first"),
+        (2_097_143, 1, 1, 1, None, "reduced first"),
+    ):
+        v_shape = (n,) if cols is None else (n, cols)
+        for fill in ("top", "random"):
+            s = int(rng.integers(0, p))
+            if fill == "top":
+                a, k, v = full((m, r), p - 1), full((r, n), p - 1), full(v_shape, p - 1)
+            else:
+                a, k = rng.integers(0, p, size=(m, r)), rng.integers(0, p, size=(r, n))
+                v = rng.integers(0, p, size=v_shape)
+            assert path(s, a, k, v, p) == want, (p, m, r, n, cols, fill)
+    # at p = 2 the float tiers end at r*N = 2**24 and 2**53; the spy stops
+    # before any float copy of these shapes is made
+    compute = False
+    for r, n, want in (
+        (1, 2**24, "float32"),
+        (1, 2**24 + 1, "float64"),
+        (2**26, 2**27, "float64"),
+        (2**27, 2**27, "reduced first"),
+    ):
+        assert path(1, full((1, r), 1), full((r, n), 1), full((n,), 1), 2) == want, (r, n)
 
 
 def test_mulmod_refuses_what_int64_cannot_hold():

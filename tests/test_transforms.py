@@ -490,6 +490,35 @@ def test_structured_builds_take_no_dense_determinant(monkeypatch, build, spec):
     assert r < t.n
 
 
+# each builder's transform, with a lambda it admits: (label, build)
+APPLY_CASES = [
+    ("standard", lambda: build_standard(hamming_parity_check(5, 2), 3)),
+    ("cyclic", lambda: build_cyclic(cyclic_hamming_spec(3, 3), 2)),
+    ("extended", lambda: build_extended_golay(golay_spec("extended_ternary"), 1)),
+    # r = 5 <= k = 6, and r = 5 > k = 2
+    ("appendix-r<=k", lambda: build_appendix_systematic(
+        FieldMatrix(GF3, -golay_spec("ternary_systematic").H[:, :6].T), 1)),
+    ("appendix-r>k", lambda: build_appendix_systematic(
+        FieldMatrix(PrimeField(7), [[1, 5, 0, 3, 6], [2, 0, 4, 1, 1]]), 3)),
+    ("lambda0-k0", lambda: build_standard(
+        CodeSpec(GF3, 2, 0, None, FieldMatrix(GF3, [[2, 1], [1, 0]]), None, "zero"), 0)),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in APPLY_CASES], ids=[n for n, _ in APPLY_CASES])
+def test_apply_matches_the_dense_views(build):
+    # apply is lambda*v + A*(K*v), never T itself; the dense views are the
+    # reference, entry for entry, for vectors and for (rows, N) batches
+    t = build()
+    p = t.field.p
+    vs = np.random.default_rng(t.n).integers(0, p, size=(6, t.n))
+    for route, dense in ((t.apply, t.matrix), (t.apply_inverse, t.inverse_matrix)):
+        want = (vs @ dense.data.T) % p
+        assert np.array_equal(route(vs), want)
+        assert all(np.array_equal(route(v), w) for v, w in zip(vs, want))
+        assert route(vs[:0]).shape == (0, t.n)
+
+
 def test_cyclic_1023_builds_and_2047_is_refused_quickly():
     spec = cyclic_hamming_spec(2, 10)
     start = time.perf_counter()
@@ -498,6 +527,11 @@ def test_cyclic_1023_builds_and_2047_is_refused_quickly():
     v = np.random.default_rng(10).integers(0, 2, size=1023)
     assert np.array_equal(t.apply_inverse(t.apply(v)), v)
     assert np.array_equal(t.apply(np.roll(v, 5)), np.roll(t.apply(v), 5))
+    batch = np.stack([v, np.roll(v, 1)])
+    assert np.array_equal(t.apply_inverse(t.apply(batch)), batch)
+    # apply costs O(rN): neither T's m x N rows nor a dense view was formed
+    for side in (t._forward, t._inverse):
+        assert not {"top", "dense"} & set(vars(side))
 
     spec = cyclic_hamming_spec(2, 11)
     start = time.perf_counter()
