@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .gf import PrimeField, is_prime
+from .gf import MAX_LENGTH, PrimeField, is_prime
 from .matrix import FieldMatrix, circulant_from_first_row, kernel_basis, mulmod, rref
 from .poly import FieldPoly, reversed_coefficient_row
 
@@ -91,19 +91,37 @@ def hamming_parity_check(p: int, m: int) -> CodeSpec:
     d = 3.
     """
     field = PrimeField(p)
-    if m < 2:
-        raise UnsupportedParametersError(f"Hamming construction needs m >= 2, got {m}")
+    n = _hamming_length(p, m)
     cols = [
         c
         for c in product(range(p), repeat=m)
         if any(c) and next(v for v in c if v) == 1
     ]
     cols.sort()
-    n = (p**m - 1) // (p - 1)
     assert len(cols) == n
     h_matrix = FieldMatrix(field, np.array(cols, dtype=np.int64).T)
     k = n - m
     return CodeSpec(field, n, k, 3, h_matrix, None, f"hamming({n},{k},3)")
+
+
+def _hamming_length(p: int, m: int) -> int:
+    """N = (p^m - 1)/(p - 1) for m >= 2, refused past MAX_LENGTH.
+
+    The sum 1 + p + ... + p^(m-1) is accumulated term by term and the check
+    stops at the first partial sum past the bound, so a huge m costs no more
+    than about 15 steps.
+    """
+    if m < 2:
+        raise UnsupportedParametersError(f"Hamming construction needs m >= 2, got {m}")
+    n = 0
+    for _ in range(m):
+        n = n * p + 1
+        if n > MAX_LENGTH:
+            raise UnsupportedParametersError(
+                f"the Hamming code over GF({p}) with m={m} is longer than the "
+                f"supported maximum N = {MAX_LENGTH}"
+            )
+    return n
 
 
 def _x_power_is_one(g: FieldPoly, e: int) -> bool:
@@ -141,9 +159,7 @@ def cyclic_hamming_parity_poly(p: int, m: int) -> FieldPoly:
     rejected.
     """
     field = PrimeField(p)
-    if m < 2:
-        raise UnsupportedParametersError(f"Hamming construction needs m >= 2, got {m}")
-    n = (p**m - 1) // (p - 1)
+    n = _hamming_length(p, m)
     if math.gcd(n, p - 1) != 1:
         raise UnsupportedParametersError(
             f"no cyclic representation: gcd({n}, {p - 1}) != 1, so no cyclic code "
@@ -183,7 +199,7 @@ def parity_rows_from_check_poly(h: FieldPoly, n: int) -> FieldMatrix:
 def cyclic_hamming_spec(p: int, m: int) -> CodeSpec:
     """Hamming code over GF(p) in cyclic form, with its check polynomial."""
     h = cyclic_hamming_parity_poly(p, m)
-    n = (p**m - 1) // (p - 1)
+    n = _hamming_length(p, m)
     k = n - m
     h_matrix = parity_rows_from_check_poly(h, n)
     return CodeSpec(PrimeField(p), n, k, 3, h_matrix, h, f"hamming({n},{k},3)-cyclic")

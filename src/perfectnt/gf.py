@@ -3,7 +3,9 @@
 Values are canonical residues in [0, p), held as plain ints or int64
 arrays. The layers above reduce after each product, which is exact only
 while p is below :data:`MAX_MODULUS`; larger moduli are refused here,
-before anything is computed with them.
+before anything is computed with them. Code lengths past
+:data:`MAX_LENGTH` are refused by the constructions in
+:mod:`perfectnt.codes` in the same way.
 """
 
 from __future__ import annotations
@@ -13,6 +15,12 @@ from dataclasses import dataclass
 # Keeps every int64 product exact; the bounds are stated once, in the
 # docstring of perfectnt.matrix.
 MAX_MODULUS = 2**21
+
+# The longest code accepted by the Hamming constructions, which refuse a
+# longer one from p and m alone, before anything is enumerated. A dense N x N
+# int64 view of a transform then takes at most 2 GiB, and the longest binary
+# Hamming code it admits is N = 2**14 - 1 (m = 14).
+MAX_LENGTH = 2**14
 
 
 class ModulusMismatchError(ValueError):

@@ -12,8 +12,10 @@ import pytest
 
 from perfectnt import reference
 from perfectnt.cli import main
-from perfectnt.gf import PrimeField
+from perfectnt.codes import UnsupportedParametersError
+from perfectnt.gf import MAX_LENGTH, PrimeField
 from perfectnt.matrix import FieldMatrix, parse_matrix
+from perfectnt.verify import resolve
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -182,6 +184,33 @@ def test_error_paths_exit_one(capsys, argv, needle):
     assert err.startswith("error:")
     assert out == "" and len(err.splitlines()) == 1
     assert needle in err
+
+
+@pytest.mark.parametrize(
+    "command,p,m,form,extra",
+    [
+        ("eigen", 2, 16, "standard", []),  # N = 65535: once a 32 GiB kernel array
+        ("info", 2, 20, "standard", []),
+        ("info", 2, 40, "standard", []),  # once 21.7 s, then a MemoryError
+        ("gen", 2, 15, "cyclic", []),  # N = 32767
+        ("verify", 3, 10, "standard", []),  # N = 29524
+        ("apply", 7, 6, "standard", ["--vector", "1"]),  # N = 19608
+        ("gen", 2_097_143, 2, "standard", []),  # N = 2097144
+        ("info", 2, 10**12, "cyclic", []),  # p^m is never formed
+    ],
+)
+def test_oversized_selector_is_refused_quickly(capsys, command, p, m, form, extra):
+    selector = ["--code", "hamming", "--p", str(p), "--m", str(m), "--form", form]
+    start = time.perf_counter()
+    status, out, err = run(capsys, command, *selector, *extra)
+    assert time.perf_counter() - start < 1.0
+    assert status == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and f"maximum N = {MAX_LENGTH}" in err
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedParametersError, match="maximum N"):
+        resolve("hamming", p, m, form)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_oversized_modulus_in_transform_file(capsys, tmp_path):

@@ -15,7 +15,7 @@ from perfectnt.codes import (
     shortened_hamming_6_3,
     sphere_packing_sum,
 )
-from perfectnt.gf import PrimeField
+from perfectnt.gf import MAX_LENGTH, PrimeField
 from perfectnt.matrix import FieldMatrix, kernel_basis, rref
 from perfectnt.poly import FieldPoly
 
@@ -95,6 +95,16 @@ def test_cyclic_hamming_generator_poly(p, m, expected):
     n = (p**m - 1) // (p - 1)
     modulus = FieldPoly.monomial(field, n) - FieldPoly.one(field)
     assert (modulus // cyclic_hamming_parity_poly(p, m)).coeffs == expected
+
+
+def test_longest_admitted_hamming_code():
+    # p = 2, m = 14 is the longest binary Hamming code under the bound, and
+    # m = 15 is refused by both constructions before anything is enumerated
+    assert MAX_LENGTH == 2**14
+    assert hamming_parity_check(2, 14).N == 2**14 - 1
+    for construct in (hamming_parity_check, cyclic_hamming_parity_poly):
+        with pytest.raises(UnsupportedParametersError, match=f"maximum N = {MAX_LENGTH}"):
+            construct(2, 15)
 
 
 def test_cyclic_hamming_rejects_small_m():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from perfectnt import matrix, reference
+from perfectnt.codes import cyclic_hamming_spec, hamming_parity_check
 from perfectnt.gf import ModulusMismatchError, PrimeField
 from perfectnt.matrix import (
     FieldMatrix,
@@ -25,6 +26,7 @@ from perfectnt.matrix import (
     rref,
 )
 from perfectnt.poly import CyclicRing, FieldPoly
+from perfectnt.transforms import build_cyclic, build_standard
 
 from helpers import kernel_basis_two_eliminations, poly_gcd
 
@@ -644,6 +646,106 @@ def test_transpose_shares_storage_and_products_agree(p, n):
     assert (m @ mt).tolist() == python_product(m.data, m.data.T, p)
     assert (mt @ y).tolist() == python_product(m.data.T, y.data, p)
     assert m.mat_vec(v).tolist() == python_product(m.data, v, p)
+
+
+def _laid_out(values: np.ndarray, layout: str) -> np.ndarray:
+    """`values` (1-D or 2-D int64) in one memory layout, with equal entries."""
+    if layout == "c-ordered":
+        return np.ascontiguousarray(values)
+    if layout == "transposed":  # the transpose of a C-ordered array: F-contiguous
+        return np.ascontiguousarray(values.T).T
+    if layout == "strided":
+        big = np.zeros(tuple(3 * d for d in values.shape), dtype=np.int64)
+        view = big[tuple(slice(1, None, 3) for _ in values.shape)]
+        view[...] = values
+        return view
+    # zero-stride: every row, or every entry of a vector, is the first
+    return np.broadcast_to(values[:1], values.shape)
+
+
+LAYOUTS = ("c-ordered", "transposed", "strided", "broadcast")
+
+
+# (rows, inner, cols) per operand dimensions: every float shape has at least
+# FLOAT_MIN_MACS multiply-adds, and the 2-D one lies in the band where a
+# transposed right operand is multiplied as (b.T @ a.T).T; the int64 shapes
+# have fewer
+FLOAT_SHAPES = {(2, 2): (16, 40, 130), (2, 1): (16, 520, 1), (1, 2): (1, 64, 130)}
+INT64_SHAPES = {(2, 2): (4, 20, 30), (2, 1): (4, 20, 1), (1, 2): (1, 20, 30)}
+
+
+# 4093 is past the float32 tier at every inner dimension above 1
+@pytest.mark.parametrize("tier,p", [("float32", 7), ("float64", 4093), ("int64", 4093)])
+@pytest.mark.parametrize("ndims", [(2, 2), (2, 1), (1, 2)], ids=["2d@2d", "2d@1d", "1d@2d"])
+@pytest.mark.parametrize("layout_b", LAYOUTS)
+@pytest.mark.parametrize("layout_a", LAYOUTS)
+def test_mulmod_is_exact_in_every_layout(monkeypatch, tier, p, ndims, layout_a, layout_b):
+    field = PrimeField(p)
+    rows, inner, cols = (INT64_SHAPES if tier == "int64" else FLOAT_SHAPES)[ndims]
+    rng = np.random.default_rng([rows, inner, p])
+    a_values = rng.integers(0, p, size=(rows, inner) if ndims[0] == 2 else inner)
+    b_values = rng.integers(0, p, size=(inner, cols) if ndims[1] == 2 else inner)
+    a, b = _laid_out(a_values, layout_a), _laid_out(b_values, layout_b)
+    expected = python_product(a, b, p)
+    kept = a.copy(), b.copy()
+    floated, swapped = [], []
+    real_floats, real_swap = matrix._as_floats, matrix._batch_by_transposed
+
+    def float_spy(x, dtype):
+        floated.append(np.dtype(dtype).name)
+        return real_floats(x, dtype)
+
+    def swap_spy(fa, fb):
+        swapped.append(real_swap(fa, fb))
+        return swapped[-1]
+
+    monkeypatch.setattr(matrix, "_as_floats", float_spy)
+    monkeypatch.setattr(matrix, "_batch_by_transposed", swap_spy)
+    # the raw arrays while still writable, then each 2-D operand as a matrix
+    # over the same array (made read-only), whose float copy keeps its layout
+    for wrap in (False, True):
+        x, y = (FieldMatrix._wrap(field, z) if wrap and z.ndim == 2 else z for z in (a, b))
+        floated.clear()
+        got = mulmod(x, y, p)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected
+        assert set(floated) <= {tier}
+        assert (floated != []) == (tier != "int64")
+        assert np.array_equal(a, kept[0]) and np.array_equal(b, kept[1])
+        for m in (x, y):
+            if isinstance(m, FieldMatrix):
+                assert not m.data.flags.writeable and not m._float_data().flags.writeable
+    # a 16-row batch times a transposed view swaps in float32; a C-ordered
+    # right operand never does, nor does any other tier or dimension count
+    band = tier == "float32" and ndims == (2, 2)
+    if not band or layout_b == "c-ordered":
+        assert not any(swapped)
+    elif layout_b == "transposed":
+        assert all(swapped) and len(swapped) == 2
+
+
+@pytest.mark.parametrize("p,m,form", [(7, 4, "standard"), (2, 8, "cyclic")], ids=["h400", "c255"])
+def test_batches_of_64_through_the_transpose_match_apply(p, m, form):
+    # the batched product of the apply-stream benchmark, which takes the swap
+    if form == "cyclic":
+        t = build_cyclic(cyclic_hamming_spec(p, m), 1)
+    else:
+        t = build_standard(hamming_parity_check(p, m), 3)
+    n = t.n
+    mt = t.matrix.transpose()
+    rows = np.random.default_rng(n).integers(0, p, size=(64, n))
+    kept = rows.copy()
+    assert matrix._batch_by_transposed(rows.astype(np.float32), mt._float_data())
+    product = FieldMatrix(t.field, rows) @ mt
+    assert np.array_equal(rows, kept)
+    assert product.data.dtype == np.int64
+    assert product.data[:2].tolist() == python_product(rows[:2], t.matrix.data.T, p)
+    assert np.array_equal(product.data, rows @ t.matrix.data.T % p)
+    for row, got in zip(rows, product.data):
+        assert np.array_equal(got, t.apply(row))
+    assert np.array_equal(product.data, t.apply(rows))
+    assert not mt.data.flags.writeable and not mt._float_data().flags.writeable
+    assert np.shares_memory(mt._float_data(), t.matrix._float_data())
 
 
 def test_batch_rows_match_apply(golden):
