@@ -191,9 +191,7 @@ def parity_rows_from_check_poly(h: FieldPoly, n: int) -> FieldMatrix:
     right by i. The rows span the dual code, so the slice is a parity
     check for the cyclic code with check polynomial h.
     """
-    field = h.field
-    circ = circulant_from_first_row(field, reversed_coefficient_row(h, n))
-    return FieldMatrix(field, circ.data[: n - h.degree])
+    return circulant_from_first_row(h.field, reversed_coefficient_row(h, n), n - h.degree)
 
 
 def cyclic_hamming_spec(p: int, m: int) -> CodeSpec:

@@ -10,6 +10,7 @@ before anything is computed with them. Code lengths past
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 # Keeps every int64 product exact; the bounds are stated once, in the
@@ -25,6 +26,16 @@ MAX_LENGTH = 2**14
 
 class ModulusMismatchError(ValueError):
     """Raised when values from different prime fields are combined."""
+
+
+def require_integer(value, name: str) -> int:
+    """`value` as an int; a float, string, bool or other object is a ValueError."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
 
 
 def is_prime(n: int) -> bool:
@@ -46,6 +57,7 @@ class PrimeField:
     p: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p", require_integer(self.p, "modulus"))
         # checked first so trial division below runs at most ~1450 steps
         if self.p >= MAX_MODULUS:
             raise ValueError(

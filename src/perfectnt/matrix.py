@@ -16,11 +16,7 @@ bound:
 
 A float type with a t-bit significand holds every integer up to 2**t, so
 every partial sum is exact in any summation order (the delayed reduction
-of FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008). The product
-may therefore be formed in either orientation: :func:`mulmod` computes a
-float32 batch times a transposed view, rows @ T.T, as (T @ rows.T).T, so
-BLAS reads T in its stored row order, and it sums the same exact products
-either way. The float
+of FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008). The float
 result P = q*p + s, 0 <= s < p, is reduced in the same type, as
 P - floor(P/p)*p, and the margin of p makes that exact. P/p lies in
 [q, q + 1 - 1/p] and below (P + p)/p <= 2**t/p, so its correctly rounded
@@ -32,14 +28,21 @@ applied without forming T: :func:`mulmod` takes it as the factored operand
 (s, A, K) and computes s*v + A*(K*v), O(rN) per vector. An entry of K*v is
 a sum of N products of residues, at most N*(p-1)**2, and an entry of
 A*(K*v) a sum of r products of a residue and such an entry, at most
-r*N*(p-1)**3; no partial sum of either product exceeds that bound.
-So while r*N*(p-1)**3 <= 2**24 both products run in float32, and while it
-is <= 2**53 in float64, exactly, by the argument above. The result is an
-integer below 2**53 and converts to int64 exactly; s*v, below p**2, is
-added there, and one remainder reduces the N-vector. That reduction is in
-int64, so the chain needs no margin of p. Past 2**53, K*v is reduced
-first, and the two products are ordinary ones with inner dimensions N and
-r, each under the bounds above.
+r*N*(p-1)**3; no partial sum of either product exceeds that bound, and
+s*v adds at most (p-1)**2. So while r*N*(p-1)**3 + (p-1)**2 + p <= 2**24
+the chain runs in float32, and while it is <= 2**53 in float64: every
+partial sum, and the sum P = s*v + A*(K*v), is an exact float integer with
+P + p <= 2**t, which the margin-of-p argument above reduces exactly. A
+batch is reduced that way, in the float type; a single vector, in fewer
+numpy calls, by one int64 remainder. Past 2**53, K*v is reduced first, and
+the two products are ordinary ones with inner dimensions N and r, each
+under the bounds above.
+
+The dense views of a transform, ``t.matrix`` and ``t.inverse_matrix``,
+remember the factors they were formed from, and so do their transposes.
+:func:`mulmod` multiplies through them: T @ b is the chain on b, and
+a @ T.T is (T @ a.T).T, so no N x N product, and no float copy of T, is
+made for them. Every other operation on a view returns a plain matrix.
 
 The elimination update (:func:`_clear_column`) is elementwise and keeps
 its products below p**2.
@@ -67,20 +70,6 @@ from .poly import FieldPoly
 # square product.
 FLOAT_MIN_MACS = 8192
 
-# A float32 product of a batch with a transposed view, such as rows @ T.T with
-# T.transpose() sharing T's storage, is computed as (T @ rows.T).T, so that
-# BLAS reads T row by row as it is stored instead of repacking it on every
-# call. It is taken for batches of at least TRANSPOSED_MIN_ROWS rows against
-# at least TRANSPOSED_MIN_COLS columns, and at least twice as many columns as
-# rows. Measured interleaved on a 2-vCPU Xeon (OpenBLAS, one thread), no
-# shape in that band got slower, and 16-128 rows at N = 128-1023 took
-# 5-43% less time (64 x 400: 251 -> 199 us, 64 x 255: 109 -> 90 us).
-# Outside it the swap was up to 20% slower: 1-3 rows, N <= 64, and 256-1000
-# rows at N <= 180. In float64 it was up to 19% slower at 32-256 rows, so
-# that tier never swaps.
-TRANSPOSED_MIN_ROWS = 16
-TRANSPOSED_MIN_COLS = 128
-
 # (float type, 2**significand bits): the float tiers of mulmod, narrowest first
 _FLOAT_TIERS = ((np.float32, 2**24), (np.float64, 2**53))
 
@@ -95,23 +84,30 @@ class SingularMatrixError(ValueError):
 class FieldMatrix:
     """Immutable dense matrix over GF(p)."""
 
-    __slots__ = ("field", "data", "_floats")
+    __slots__ = ("field", "data", "_floats", "_factors")
 
     def __init__(self, field: PrimeField, data):
         self._set(field, _residues(field, data, (2,), "matrix data must be 2-dimensional"))
 
     @classmethod
-    def _wrap(cls, field: PrimeField, data: np.ndarray, floats=None) -> "FieldMatrix":
-        """A matrix over `data`, which already holds canonical int64 residues."""
+    def _wrap(
+        cls, field: PrimeField, data: np.ndarray, floats=None, *, factors=None
+    ) -> "FieldMatrix":
+        """A matrix over `data`, which already holds canonical int64 residues.
+
+        `factors` is given for a transform's dense view only: (operand,
+        transposed), mulmod's operand (s, A, K) that `data` or its transpose equals.
+        """
         m = object.__new__(cls)
-        m._set(field, data, floats)
+        m._set(field, data, floats, factors)
         return m
 
-    def _set(self, field: PrimeField, data: np.ndarray, floats=None) -> None:
+    def _set(self, field: PrimeField, data: np.ndarray, floats=None, factors=None) -> None:
         data.setflags(write=False)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "_floats", floats)
+        object.__setattr__(self, "_factors", factors)
 
     def _float_data(self) -> np.ndarray:
         """Read-only float copy of `data`, built on first use and kept.
@@ -163,8 +159,15 @@ class FieldMatrix:
         return self.data[:, j]
 
     def transpose(self) -> "FieldMatrix":
-        """The transpose, as views of this matrix's int64 data and float copy."""
-        return FieldMatrix._wrap(self.field, self.data.T, self._float_data().T)
+        """The transpose, as views of this matrix's int64 data and float copy.
+
+        The transpose of a transform's dense view keeps its factors instead,
+        marked transposed, and has no float copy.
+        """
+        if self._factors is None:
+            return FieldMatrix._wrap(self.field, self.data.T, self._float_data().T)
+        operand, transposed = self._factors
+        return FieldMatrix._wrap(self.field, self.data.T, factors=(operand, not transposed))
 
     def tolist(self) -> list[list[int]]:
         return self.data.tolist()
@@ -269,70 +272,62 @@ def mulmod(a, b, p: int) -> np.ndarray:
     BLAS while bound + p <= 2**24 and float64 BLAS while bound + p <= 2**53;
     otherwise the int64 product below 2**63, and a ValueError above.
 
-    In float32, a batch of rows times a transposed view b (F-contiguous, not
-    C-contiguous), in the band set by TRANSPOSED_MIN_ROWS and
-    TRANSPOSED_MIN_COLS, is computed as (b.T @ a.T).T: BLAS then reads b in
-    its stored row order instead of repacking it, and the result is returned
-    as that transposed (F-ordered) view, without a copy. Every partial sum is
-    an exact float integer under the bound, in any order, so the orientation
-    changes the speed, never the result.
-
     `a` may also be factored, a tuple (s, A, K) standing for s*I + A@K with A
-    m x r, K r x N and A's rows past m zero; `b` is then an int64 array with
-    N rows. The chain s*b + A@(K@b) bounds its partial sums by
-    r*N*(p-1)**3: float32 while that is <= 2**24, float64 while it is
-    <= 2**53, each reduced once in int64 after adding s*b; past that, K@b
-    is reduced first.
+    m x r, K r x N and A's rows past m zero, and `b` an int64 array with N
+    rows: the chain s*b + A@(K@b), whose tier follows r*N*(p-1)**3 + (p-1)**2.
+    A transform's dense view, or its transpose, is multiplied through its
+    factors: T @ b as the chain on b, and a @ T.T as (T @ a.T).T.
     """
     if isinstance(a, tuple):
         scalar, a, k = a
         r, n = k.shape
-        bound = r * n * (p - 1) ** 3
+        bound = r * n * (p - 1) ** 3 + (p - 1) ** 2 + p
         for dtype, limit in _FLOAT_TIERS:
             if bound <= limit:
-                chained = _as_floats(a, dtype) @ (_as_floats(k, dtype) @ b.astype(dtype))
-                chained = chained.astype(np.int64)
-                break
+                fa, fk = _as_floats(a, dtype), _as_floats(k, dtype)
+                fb = b.astype(dtype)
+                if b.ndim == 1:
+                    chained = (fa @ (fk @ fb)).astype(np.int64)
+                    break
+                # a batch arrives as rows.T: formed row by row, the chain has
+                # fb's memory order, and the sum below runs over both in step
+                chained = ((fb.T @ fk.T) @ fa.T).T
+                fb *= scalar
+                fb[: len(chained)] += chained
+                return _reduce(fb, p)
         else:
             chained = mulmod(a, mulmod(k, b, p), p)
         out = scalar * b
         out[: len(chained)] += chained
         return np.remainder(out, p, out=out)
+    if isinstance(b, FieldMatrix) and b._factors is not None and b._factors[1]:
+        return mulmod(b._factors[0], _as_ints(a).T, p).T
+    if isinstance(a, FieldMatrix) and a._factors is not None and not a._factors[1]:
+        return mulmod(a._factors[0], _as_ints(b), p)
     inner = a.shape[-1]
     bound = inner * (p - 1) ** 2
     macs = math.prod(a.shape) * math.prod(b.shape) // max(inner, 1)
     if macs >= FLOAT_MIN_MACS:
         for dtype, limit in _FLOAT_TIERS:
             if bound + p <= limit:
-                fa, fb = _as_floats(a, dtype), _as_floats(b, dtype)
-                if dtype is np.float32 and _batch_by_transposed(fa, fb):
-                    return _reduce((fb.T @ fa.T).T, p)
-                return _reduce(fa @ fb, p)
+                return _reduce(_as_floats(a, dtype) @ _as_floats(b, dtype), p)
     if bound >= 2**63:
         raise ValueError(f"a product of inner dimension {inner} over GF({p}) would overflow int64")
     return _as_ints(a) @ _as_ints(b) % p
 
 
-def _batch_by_transposed(fa: np.ndarray, fb: np.ndarray) -> bool:
-    """Whether the float32 product fa @ fb is computed as (fb.T @ fa.T).T.
-
-    True when fb is a transposed view (F-contiguous, not C-contiguous) and
-    fa a batch in the band set by TRANSPOSED_MIN_ROWS and TRANSPOSED_MIN_COLS.
-    """
-    if fb.ndim != 2 or fa.ndim != 2 or fb.flags.c_contiguous or not fb.flags.f_contiguous:
-        return False
-    rows, cols = fa.shape[0], fb.shape[1]
-    return TRANSPOSED_MIN_ROWS <= rows and max(TRANSPOSED_MIN_COLS, 2 * rows) <= cols
-
-
 def _reduce(product: np.ndarray, p: int) -> np.ndarray:
     """Residues of float integers P with P + p <= 2**t, t the significand width.
 
-    floor(P/p) is the exact quotient under that margin (see the module docstring).
+    floor(P/p) is the exact quotient under that margin (see the module
+    docstring). `product` is a temporary of the caller's and is overwritten.
     """
-    quotient = np.floor(product / p)
+    quotient = product / p
+    np.floor(quotient, out=quotient)
     quotient *= p
-    return (product - quotient).astype(np.int64)
+    product -= quotient
+    del quotient  # freed before the int64 copy is made
+    return product.astype(np.int64)
 
 
 def _as_floats(x, dtype) -> np.ndarray:
@@ -528,15 +523,16 @@ def multiplicative_order(m: FieldMatrix, cap: int = 10**6) -> int | None:
     return None
 
 
-def circulant_from_first_row(field: PrimeField, first_row) -> FieldMatrix:
+def circulant_from_first_row(field: PrimeField, first_row, rows: int | None = None) -> FieldMatrix:
     """n x n circulant: row i is the first row cyclically shifted right by i.
 
-    Equivalently entry (i, j) = first_row[(j - i) mod n].
+    Equivalently entry (i, j) = first_row[(j - i) mod n]. With `rows`, only
+    its first `rows` rows, in O(rows * n).
     """
     r = as_vector(field, first_row)
     n = r.shape[0]
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    return FieldMatrix(field, r[idx])
+    idx = (np.arange(n)[None, :] - np.arange(n if rows is None else rows)[:, None]) % n
+    return FieldMatrix._wrap(field, r[idx])
 
 
 # -- serialization -----------------------------------------------------------
@@ -575,8 +571,8 @@ def parse_matrix(text: str) -> FieldMatrix:
         rows_ok = isinstance(rows, list) and all(
             isinstance(row, list) and all(_is_int_type(type(x)) for x in row) for row in rows
         )
-        if not (_is_int_type(type(p)) and rows_ok):
-            raise ValueError('JSON matrix needs an integer "p" and "rows" of integer lists')
+        if not rows_ok:
+            raise ValueError('JSON matrix needs "rows" of integer lists')
         return FieldMatrix(PrimeField(p), rows)
     lines = [ln.strip() for ln in s.splitlines() if ln.strip()]
     first = lines[0].split()

@@ -86,11 +86,13 @@ class _Structured:
 
     @cached_property
     def dense(self) -> FieldMatrix:
+        """The N x N matrix; it keeps the factors, and mulmod multiplies through them."""
         m, n = self.top.shape
-        if m == n:
-            return self.top
-        bottom = self.factors[0] * np.eye(n - m, n, m, dtype=np.int64)
-        return FieldMatrix(self.top.field, np.vstack([self.top.data, bottom]))
+        data = self.top.data
+        if m < n:
+            bottom = self.factors[0] * np.eye(n - m, n, m, dtype=np.int64)
+            data = np.vstack([data, bottom])
+        return FieldMatrix._wrap(self.top.field, data, factors=(self.factors, False))
 
     def apply(self, vs: np.ndarray) -> np.ndarray:
         """The product with one vector, or with each row of a (rows, N) batch.
@@ -107,7 +109,8 @@ class TransformSpec:
     Construction fails fast on a singular choice of lambda, so every
     TransformSpec in existence is invertible and carries a nonzero det.
     `matrix` and `inverse_matrix` are the dense views, built on first use
-    and kept.
+    and kept; products with them, or with their transposes, run in O(rN)
+    per vector through the structured form.
     """
 
     code: CodeSpec

@@ -25,6 +25,7 @@ from .codes import (
     perfect_witness,
     shortened_hamming_6_3,
 )
+from .gf import require_integer
 from .matrix import (
     FieldMatrix,
     char_poly,
@@ -52,6 +53,8 @@ def resolve(
     family: str, p: int | None, m: int | None, form: str
 ) -> tuple[CodeSpec, Callable[[CodeSpec, int], TransformSpec]]:
     """Selector -> (code, build), called as build(code, lambda); ValueError if none."""
+    p = None if p is None else require_integer(p, "p")
+    m = None if m is None else require_integer(m, "m")
     if family == "hamming74":
         if form != "standard":
             raise ValueError("hamming74 is the fixed systematic fixture; use --form standard")

@@ -49,3 +49,13 @@ def minimum_distance(spec: CodeSpec) -> int:
         raise ValueError("the zero code has no nonzero codewords")
     weights = np.count_nonzero(all_codewords(spec), axis=1)
     return int(weights[weights > 0].min())
+
+
+def python_product(a, b, p):
+    """(a @ b) % p with Python ints, for 1-D or 2-D operands."""
+    rows = a.tolist() if a.ndim == 2 else [a.tolist()]
+    cols = b.T.tolist() if b.ndim == 2 else [b.tolist()]
+    out = [[sum(x * y for x, y in zip(r, c)) % p for c in cols] for r in rows]
+    if b.ndim == 1:
+        out = [row[0] for row in out]
+    return out if a.ndim == 2 else out[0]

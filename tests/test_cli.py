@@ -8,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from perfectnt import reference
@@ -243,6 +244,31 @@ def test_oversized_modulus_in_transform_file(capsys, tmp_path):
         assert status == 1 and out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error:") and needle in err
+
+
+@pytest.mark.parametrize("bad", [7.0, "7", True], ids=["float", "str", "bool"])
+def test_non_integer_scalars_are_refused(capsys, tmp_path, bad):
+    # a scalar that is not an integer is a ValueError, never truncated, parsed
+    # or a TypeError from arithmetic further in
+    with pytest.raises(ValueError, match="modulus must be an integer"):
+        PrimeField(bad)
+    with pytest.raises(ValueError, match="p must be an integer"):
+        resolve("hamming", bad, 2, "standard")
+    with pytest.raises(ValueError, match="m must be an integer"):
+        resolve("hamming", 7, bad, "cyclic")
+    # the CLI reads such a modulus from a transform file
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"p": bad, "rows": [[1]]}))
+    status, out, err = run(capsys, "apply", "--transform", str(path), "--vector", "1")
+    assert (status, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "modulus must be an integer" in err
+
+
+def test_integer_scalars_of_any_type_are_taken():
+    field = PrimeField(np.int64(7))
+    assert field == PrimeField(7) and type(field.p) is int
+    assert resolve("hamming", np.int64(3), np.int64(2), "standard")[0].N == 4
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,14 @@ from perfectnt.codes import (
     golay_spec,
     hamming74_systematic,
     hamming_parity_check,
+    parity_rows_from_check_poly,
     perfect_witness,
     shortened_hamming_6_3,
     sphere_packing_sum,
 )
 from perfectnt.gf import MAX_LENGTH, PrimeField
-from perfectnt.matrix import FieldMatrix, kernel_basis, rref
-from perfectnt.poly import FieldPoly
+from perfectnt.matrix import FieldMatrix, circulant_from_first_row, kernel_basis, rref
+from perfectnt.poly import FieldPoly, reversed_coefficient_row
 
 from helpers import generator_from_parity, minimum_distance
 
@@ -105,6 +108,33 @@ def test_longest_admitted_hamming_code():
     for construct in (hamming_parity_check, cyclic_hamming_parity_poly):
         with pytest.raises(UnsupportedParametersError, match=f"maximum N = {MAX_LENGTH}"):
             construct(2, 15)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [cyclic_hamming_spec(p, m) for p, m in ((2, 3), (2, 4), (3, 3), (5, 3), (2, 7), (3, 5))]
+    + [cyclic_hamming_spec(2, 8)]
+    + [golay_spec("binary"), golay_spec("ternary")],
+    ids=lambda spec: spec.label,
+)
+def test_parity_rows_are_the_leading_rows_of_the_circulant(spec):
+    # N <= 255: the rows indexed directly equal a slice of the whole circulant
+    circulant = circulant_from_first_row(spec.field, reversed_coefficient_row(spec.h, spec.N))
+    rows = parity_rows_from_check_poly(spec.h, spec.N)
+    assert rows == FieldMatrix(spec.field, circulant.data[: spec.N - spec.k])
+    assert rows == spec.H
+
+
+def test_cyclic_parity_rows_take_memory_in_m_times_n():
+    # N = 8191: the N x N circulant alone took 512 MiB as int64
+    tracemalloc.start()
+    try:
+        spec = cyclic_hamming_spec(2, 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.H.shape == (13, 8191)
+    assert peak < 64 * 2**20, peak
 
 
 def test_cyclic_hamming_rejects_small_m():

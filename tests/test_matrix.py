@@ -28,7 +28,7 @@ from perfectnt.matrix import (
 from perfectnt.poly import CyclicRing, FieldPoly
 from perfectnt.transforms import build_cyclic, build_standard
 
-from helpers import kernel_basis_two_eliminations, poly_gcd
+from helpers import kernel_basis_two_eliminations, poly_gcd, python_product
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -398,16 +398,6 @@ def test_exact_at_largest_accepted_modulus():
         assert m.mat_vec(v).tolist() == want
 
 
-def python_product(a, b, p):
-    """(a @ b) % p with Python ints, for 1-D or 2-D operands."""
-    rows = a.tolist() if a.ndim == 2 else [a.tolist()]
-    cols = b.T.tolist() if b.ndim == 2 else [b.tolist()]
-    out = [[sum(x * y for x, y in zip(r, c)) % p for c in cols] for r in rows]
-    if b.ndim == 1:
-        out = [row[0] for row in out]
-    return out if a.ndim == 2 else out[0]
-
-
 # The float tiers end where inner*(p-1)**2 + p passes 2**24 and 2**53: at
 # p = 257 between inner 255 and 256, at p = 2 097 143 between 2048 and 2049.
 # "top" and "odd" fill with p-1 and p-2 (p-1 if p = 2). The examples catch a
@@ -543,9 +533,10 @@ def python_chain(s, a, k, v, p):
 
 def test_chained_mulmod_path_follows_the_bound(monkeypatch):
     # the factored operand (s, A, K), A m x r and K r x N: float32 while
-    # r*N*(p-1)**3 <= 2**24, float64 while <= 2**53, K@v reduced first past that
-    floated, inner_calls = [], []
-    real_floats, real_mulmod = matrix._as_floats, matrix.mulmod
+    # r*N*(p-1)**3 + (p-1)**2 + p <= 2**24, float64 while <= 2**53, K@v reduced
+    # first past that; a batch is reduced in the float type, one vector in int64
+    floated, inner_calls, reduced = [], [], []
+    real_floats, real_mulmod, real_reduce = matrix._as_floats, matrix.mulmod, matrix._reduce
 
     def float_spy(x, dtype):
         floated.append(np.dtype(dtype).name)
@@ -557,19 +548,29 @@ def test_chained_mulmod_path_follows_the_bound(monkeypatch):
         inner_calls.append(a)
         return real_mulmod(a, b, p)
 
+    def reduce_spy(product, p):
+        reduced.append(product.dtype.name)
+        return real_reduce(product, p)
+
     monkeypatch.setattr(matrix, "_as_floats", float_spy)
     monkeypatch.setattr(matrix, "mulmod", kernel_spy)  # the kernel calling itself
+    monkeypatch.setattr(matrix, "_reduce", reduce_spy)
 
     def path(s, a, k, v, p):
         floated.clear()
         inner_calls.clear()
+        reduced.clear()
         try:
             got = real_mulmod((s, a, k), v, p)
             assert got.dtype == np.int64
             assert got.tolist() == python_chain(s, a, k, v, p)
         except _PathChosen:  # only while not computing
             pass
-        return "reduced first" if inner_calls else floated[0]
+        if inner_calls:
+            return "reduced first"
+        # the float tier reduces a batch itself, in that type, and a vector never
+        assert reduced == ([floated[0]] if v.ndim == 2 and compute else []), reduced
+        return floated[0]
 
     def full(shape, x):
         # zero-stride: nothing of this size is allocated until a float copy
@@ -577,15 +578,19 @@ def test_chained_mulmod_path_follows_the_bound(monkeypatch):
 
     compute = True
     rng = np.random.default_rng(12)
-    # (p, m, r, N, batch columns or None, path); 216 = 6**3 and 2**48 = 65536**3
+    # (p, m, r, N, batch columns or None, path); 216 = 6**3, 2**24 = 256**3 and
+    # 2**53 = 32 * 65536**3; s*v adds (p-1)**2 and the margin p
     for p, m, r, n, cols, want in (
-        (7, 4, 4, 19418, None, "float32"),  # 4 * 19418 * 216 <= 2**24
+        (7, 4, 4, 19418, None, "float32"),  # 4 * 19418 * 216 + 36 + 7 <= 2**24
         (7, 4, 4, 19419, None, "float64"),
         (7, 19418, 4, 19418, None, "float32"),  # m = N, as for cyclic forms
+        (7, 2, 4, 19418, 3, "float32"),
         (7, 2, 4, 19419, 3, "float64"),
-        (257, 1, 1, 1, None, "float32"),  # 256**3 = 2**24
+        (257, 1, 1, 1, None, "float64"),  # the chain alone is 2**24, s*v is past it
         (257, 2, 1, 2, 2, "float64"),
-        (65537, 3, 4, 8, None, "float64"),  # 32 * 2**48 = 2**53
+        (65537, 1, 31, 1, None, "float64"),  # 31 * 2**48 + 2**32 + 65537 <= 2**53
+        (65537, 2, 1, 31, 4, "float64"),
+        (65537, 3, 4, 8, None, "reduced first"),  # the chain alone is 2**53
         (65537, 11, 3, 11, None, "reduced first"),
         (65537, 2, 3, 11, 4, "reduced first"),
         (2_097_143, 1, 1, 1, None, "reduced first"),
@@ -594,21 +599,26 @@ def test_chained_mulmod_path_follows_the_bound(monkeypatch):
         for fill in ("top", "random"):
             s = int(rng.integers(0, p))
             if fill == "top":
+                s = p - 1
                 a, k, v = full((m, r), p - 1), full((r, n), p - 1), full(v_shape, p - 1)
             else:
                 a, k = rng.integers(0, p, size=(m, r)), rng.integers(0, p, size=(r, n))
                 v = rng.integers(0, p, size=v_shape)
             assert path(s, a, k, v, p) == want, (p, m, r, n, cols, fill)
-    # at p = 2 the float tiers end at r*N = 2**24 and 2**53; the spy stops
-    # before any float copy of these shapes is made
+    # at p = 2 the float tiers end at r*N = 2**24 - 3 and 2**53 - 3; the spy
+    # stops before any float copy of these shapes is made
     compute = False
-    for r, n, want in (
-        (1, 2**24, "float32"),
-        (1, 2**24 + 1, "float64"),
-        (2**26, 2**27, "float64"),
-        (2**27, 2**27, "reduced first"),
+    for r, n, cols, want in (
+        (1, 2**24 - 3, None, "float32"),
+        (1, 2**24 - 2, None, "float64"),
+        (1, 2**24 - 2, 64, "float64"),
+        (2**26, 2**27 - 1, None, "float64"),
+        (1, 2**53 - 3, None, "float64"),
+        (1, 2**53 - 2, None, "reduced first"),
+        (2**27, 2**27, 64, "reduced first"),
     ):
-        assert path(1, full((1, r), 1), full((r, n), 1), full((n,), 1), 2) == want, (r, n)
+        v_shape = (n,) if cols is None else (n, cols)
+        assert path(1, full((1, r), 1), full((r, n), 1), full(v_shape, 1), 2) == want, (r, n)
 
 
 def test_mulmod_refuses_what_int64_cannot_hold():
@@ -667,9 +677,7 @@ LAYOUTS = ("c-ordered", "transposed", "strided", "broadcast")
 
 
 # (rows, inner, cols) per operand dimensions: every float shape has at least
-# FLOAT_MIN_MACS multiply-adds, and the 2-D one lies in the band where a
-# transposed right operand is multiplied as (b.T @ a.T).T; the int64 shapes
-# have fewer
+# FLOAT_MIN_MACS multiply-adds, and the int64 shapes have fewer
 FLOAT_SHAPES = {(2, 2): (16, 40, 130), (2, 1): (16, 520, 1), (1, 2): (1, 64, 130)}
 INT64_SHAPES = {(2, 2): (4, 20, 30), (2, 1): (4, 20, 1), (1, 2): (1, 20, 30)}
 
@@ -688,19 +696,14 @@ def test_mulmod_is_exact_in_every_layout(monkeypatch, tier, p, ndims, layout_a, 
     a, b = _laid_out(a_values, layout_a), _laid_out(b_values, layout_b)
     expected = python_product(a, b, p)
     kept = a.copy(), b.copy()
-    floated, swapped = [], []
-    real_floats, real_swap = matrix._as_floats, matrix._batch_by_transposed
+    floated = []
+    real_floats = matrix._as_floats
 
     def float_spy(x, dtype):
         floated.append(np.dtype(dtype).name)
         return real_floats(x, dtype)
 
-    def swap_spy(fa, fb):
-        swapped.append(real_swap(fa, fb))
-        return swapped[-1]
-
     monkeypatch.setattr(matrix, "_as_floats", float_spy)
-    monkeypatch.setattr(matrix, "_batch_by_transposed", swap_spy)
     # the raw arrays while still writable, then each 2-D operand as a matrix
     # over the same array (made read-only), whose float copy keeps its layout
     for wrap in (False, True):
@@ -715,37 +718,43 @@ def test_mulmod_is_exact_in_every_layout(monkeypatch, tier, p, ndims, layout_a, 
         for m in (x, y):
             if isinstance(m, FieldMatrix):
                 assert not m.data.flags.writeable and not m._float_data().flags.writeable
-    # a 16-row batch times a transposed view swaps in float32; a C-ordered
-    # right operand never does, nor does any other tier or dimension count
-    band = tier == "float32" and ndims == (2, 2)
-    if not band or layout_b == "c-ordered":
-        assert not any(swapped)
-    elif layout_b == "transposed":
-        assert all(swapped) and len(swapped) == 2
 
 
 @pytest.mark.parametrize("p,m,form", [(7, 4, "standard"), (2, 8, "cyclic")], ids=["h400", "c255"])
-def test_batches_of_64_through_the_transpose_match_apply(p, m, form):
-    # the batched product of the apply-stream benchmark, which takes the swap
+def test_batches_of_64_through_the_transpose_match_apply(monkeypatch, p, m, form):
+    # the batched product of the apply-stream benchmark: the transposed dense
+    # view keeps T's factors, and the product runs through them
     if form == "cyclic":
         t = build_cyclic(cyclic_hamming_spec(p, m), 1)
     else:
         t = build_standard(hamming_parity_check(p, m), 3)
     n = t.n
     mt = t.matrix.transpose()
+    assert mt._factors == (t._forward.factors, True)
     rows = np.random.default_rng(n).integers(0, p, size=(64, n))
     kept = rows.copy()
-    assert matrix._batch_by_transposed(rows.astype(np.float32), mt._float_data())
+    floated, real_floats = [], matrix._as_floats
+
+    def float_spy(x, dtype):
+        floated.append(x)
+        return real_floats(x, dtype)
+
+    monkeypatch.setattr(matrix, "_as_floats", float_spy)
     product = FieldMatrix(t.field, rows) @ mt
+    # only A and K went to BLAS: O(rN) per row, and no float copy of T
+    scalar, a, k = t._forward.factors
+    assert [x.shape for x in floated] == [a.shape, k.shape]
+    assert t.matrix._floats is None and mt._floats is None
+    monkeypatch.undo()
     assert np.array_equal(rows, kept)
     assert product.data.dtype == np.int64
+    assert product._factors is None
     assert product.data[:2].tolist() == python_product(rows[:2], t.matrix.data.T, p)
     assert np.array_equal(product.data, rows @ t.matrix.data.T % p)
     for row, got in zip(rows, product.data):
         assert np.array_equal(got, t.apply(row))
     assert np.array_equal(product.data, t.apply(rows))
-    assert not mt.data.flags.writeable and not mt._float_data().flags.writeable
-    assert np.shares_memory(mt._float_data(), t.matrix._float_data())
+    assert not mt.data.flags.writeable and not t.matrix.data.flags.writeable
 
 
 def test_batch_rows_match_apply(golden):

@@ -157,3 +157,35 @@ def test_transforms_are_constructed_only_by_the_certifying_tail():
         and "TransformSpec" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     }
     assert list(sites.values()) == [True], f"TransformSpec(...) outside _finish: {sites}"
+
+
+def _scoped(tree: ast.AST, scope: str = ""):
+    """(qualified name of the enclosing class or function, node) for every node."""
+    for child in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield inner, child
+        yield from _scoped(child, inner)
+
+
+def test_factors_are_attached_only_to_transform_views():
+    # mulmod multiplies a matrix that carries `_factors` through them and never
+    # reads its data, so only a transform's dense view (_Structured.dense) and
+    # the transpose of one may attach them; _wrap's `factors` is keyword-only,
+    # _set stores it, and only the constructors call _set
+    sites, setters, stores = set(), set(), set()
+    for name, tree in _package_trees().items():
+        for scope, node in _scoped(tree):
+            where = f"{name}:{scope}"
+            if isinstance(node, ast.Call):
+                func = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if func == "_set":
+                    setters.add(where)
+                if any(kw.arg == "factors" for kw in node.keywords):
+                    sites.add(where)
+            if isinstance(node, ast.Constant) and node.value == "_factors":
+                stores.add(where)
+    assert sites == {"transforms.py:_Structured.dense", "matrix.py:FieldMatrix.transpose"}, sites
+    assert setters == {"matrix.py:FieldMatrix.__init__", "matrix.py:FieldMatrix._wrap"}, setters
+    assert stores == {"matrix.py:FieldMatrix", "matrix.py:FieldMatrix._set"}, stores

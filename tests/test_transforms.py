@@ -42,6 +42,8 @@ from perfectnt.transforms import (
     verify_properties,
 )
 
+from helpers import python_product
+
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 
@@ -517,6 +519,69 @@ def test_apply_matches_the_dense_views(build):
         assert np.array_equal(route(vs), want)
         assert all(np.array_equal(route(v), w) for v, w in zip(vs, want))
         assert route(vs[:0]).shape == (0, t.n)
+
+
+@pytest.mark.parametrize("build", [b for _, b in APPLY_CASES], ids=[n for n, _ in APPLY_CASES])
+def test_products_with_the_dense_views_run_through_the_factors(monkeypatch, build):
+    # rows @ view.T, view @ X and view.mat_vec equal Python-int products, and
+    # none of them converts the view to floats or multiplies by its N x N data
+    t = build()
+    p, n = t.field.p, t.n
+    rng = np.random.default_rng(n)
+    views = (t.matrix, t.inverse_matrix)
+    operands, float_copies = [], []
+    real_floats, real_ints = matrix._as_floats, matrix._as_ints
+    real_float_data = FieldMatrix._float_data
+
+    def floats_spy(x, dtype):
+        operands.append(x)
+        return real_floats(x, dtype)
+
+    def ints_spy(x):
+        operands.append(x)
+        return real_ints(x)
+
+    def float_data_spy(self):
+        float_copies.append(self)
+        return real_float_data(self)
+
+    monkeypatch.setattr(matrix, "_as_floats", floats_spy)
+    monkeypatch.setattr(matrix, "_as_ints", ints_spy)
+    monkeypatch.setattr(FieldMatrix, "_float_data", float_data_spy)
+    for view, side in zip(views, (t._forward, t._inverse)):
+        assert view._factors == (side.factors, False)
+        assert view.transpose()._factors == (side.factors, True)
+        assert view.transpose().transpose()._factors == (side.factors, False)
+        dense = view.data
+        for count in (1, 3, 64, 300):
+            rows = rng.integers(0, p, size=(count, n))
+            got = FieldMatrix(t.field, rows) @ view.transpose()
+            assert got.tolist() == python_product(rows, dense.T, p)
+            assert got._factors is None
+            got = view @ FieldMatrix(t.field, rows.T)
+            assert got.tolist() == python_product(dense, rows.T, p)
+            assert view.mat_vec(rows[0]).tolist() == python_product(dense, rows[0], p)
+        for x in operands:
+            data = x.data if isinstance(x, FieldMatrix) else x
+            assert not np.may_share_memory(data, dense), x.shape
+        assert not any(m._factors for m in float_copies)
+        assert view._floats is None
+
+
+def test_only_products_keep_a_view_factored():
+    t = build_standard(hamming_parity_check(5, 2), 3)
+    view = t.matrix
+    for plain in (
+        view - FieldMatrix.identity(t.field, t.n).scaled(t.lam),
+        view.scaled(1),
+        view + view,
+        view @ t.inverse_matrix,
+        view.transpose() @ view,
+        parse_matrix(format_transform(t)),
+    ):
+        assert plain._factors is None
+    assert np.array_equal((view @ t.inverse_matrix).data, np.eye(t.n, dtype=np.int64))
+    assert np.array_equal((view.transpose() @ view).data, view.data.T @ view.data % 5)
 
 
 def test_cyclic_1023_builds_and_2047_is_refused_quickly():
