@@ -24,19 +24,21 @@ value is within half an ulp of it, which is less than 1/p, and never below
 the float q: its floor is q. Then q*p <= P and P - q*p are exact.
 
 A transform T = s*I + A*K (A m x r, K r x N, the rows of A past m zero) is
-applied without forming T: :func:`mulmod` takes it as the factored operand
-(s, A, K) and computes s*v + A*(K*v), O(rN) per vector. An entry of K*v is
+applied without forming T: :func:`mulmod` takes it as a :class:`Factored`
+operand and computes s*v + A*(K*v), O(rN) per vector. An entry of K*v is
 a sum of N products of residues, at most N*(p-1)**2, and an entry of
 A*(K*v) a sum of r products of a residue and such an entry, at most
 r*N*(p-1)**3; no partial sum of either product exceeds that bound, and
 s*v adds at most (p-1)**2. So while r*N*(p-1)**3 + (p-1)**2 + p <= 2**24
 the chain runs in float32, and while it is <= 2**53 in float64: every
 partial sum, and the sum P = s*v + A*(K*v), is an exact float integer with
-P + p <= 2**t, which the margin-of-p argument above reduces exactly. A
-batch is reduced that way, in the float type; a single vector, in fewer
-numpy calls, by one int64 remainder. Past 2**53, K*v is reduced first, and
-the two products are ordinary ones with inner dimensions N and r, each
-under the bounds above.
+P + p <= 2**t, which the margin-of-p argument above reduces exactly. The
+operand resolves that tier once, when it is built, and keeps read-only
+copies of A and K in its float type. A batch is reduced that way, in the
+float type; a single vector runs as two matrix-vector products (sgemv or
+dgemv, through ``.dot``) and is reduced by one int64 remainder. Past
+2**53, K*v is reduced first, and the two products are ordinary ones with
+inner dimensions N and r, each under the bounds above.
 
 The dense views of a transform, ``t.matrix`` and ``t.inverse_matrix``,
 remember the factors they were formed from, and so do their transposes.
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -96,7 +99,7 @@ class FieldMatrix:
         """A matrix over `data`, which already holds canonical int64 residues.
 
         `factors` is given for a transform's dense view only: (operand,
-        transposed), mulmod's operand (s, A, K) that `data` or its transpose equals.
+        transposed), the Factored operand that `data` or its transpose equals.
         """
         m = object.__new__(cls)
         m._set(field, data, floats, factors)
@@ -226,6 +229,42 @@ class FieldMatrix:
         return "\n".join(" ".join(map(str, row)) for row in self.data.tolist())
 
 
+class Factored:
+    """scalar*I + A*K, N x N, with A (m x r) its nonzero leading rows and K r x N.
+
+    The factored operand of :func:`mulmod`. Its tier is resolved here, once,
+    from r*N*(p-1)**3 + (p-1)**2 + p (see the module docstring): `floats` holds
+    read-only copies of A and K in that float type, or is None past 2**53,
+    where K*v is reduced first.
+    """
+
+    def __init__(self, scalar: int, a: FieldMatrix, k: FieldMatrix):
+        self.scalar, self.a, self.k, self.p = scalar, a, k, k.field.p
+        r, n = k.shape
+        bound = r * n * (self.p - 1) ** 3 + (self.p - 1) ** 2 + self.p
+        dtype = next((t for t, limit in _FLOAT_TIERS if bound <= limit), None)
+        self.floats = None if dtype is None else tuple(_as_floats(x, dtype) for x in (a, k))
+        for floats in self.floats or ():
+            floats.setflags(write=False)
+
+    @cached_property
+    def top(self) -> FieldMatrix:
+        """The first m rows: A*K + scalar*[I_m | 0]."""
+        rows = mulmod(self.a, self.k, self.p)
+        d = np.arange(self.a.rows)
+        rows[d, d] = (rows[d, d] + self.scalar) % self.p
+        return FieldMatrix(self.k.field, rows)
+
+    @cached_property
+    def dense(self) -> FieldMatrix:
+        """The N x N matrix; it keeps this operand, and mulmod multiplies through it."""
+        m, n = self.top.shape
+        data = self.top.data
+        if m < n:
+            data = np.vstack([data, self.scalar * np.eye(n - m, n, m, dtype=np.int64)])
+        return FieldMatrix._wrap(self.k.field, data, factors=(self, False))
+
+
 _INT64_RANGE = "entries must lie in the int64 range [-2**63, 2**63)"
 
 
@@ -272,32 +311,27 @@ def mulmod(a, b, p: int) -> np.ndarray:
     BLAS while bound + p <= 2**24 and float64 BLAS while bound + p <= 2**53;
     otherwise the int64 product below 2**63, and a ValueError above.
 
-    `a` may also be factored, a tuple (s, A, K) standing for s*I + A@K with A
-    m x r, K r x N and A's rows past m zero, and `b` an int64 array with N
-    rows: the chain s*b + A@(K@b), whose tier follows r*N*(p-1)**3 + (p-1)**2.
-    A transform's dense view, or its transpose, is multiplied through its
-    factors: T @ b as the chain on b, and a @ T.T as (T @ a.T).T.
+    `a` may also be a Factored operand s*I + A@K, and `b` an int64 array with
+    N rows: the chain s*b + A@(K@b), in the tier the operand resolved. A
+    transform's dense view, or its transpose, is multiplied through its
+    operand: T @ b as the chain on b, and a @ T.T as (T @ a.T).T.
     """
-    if isinstance(a, tuple):
-        scalar, a, k = a
-        r, n = k.shape
-        bound = r * n * (p - 1) ** 3 + (p - 1) ** 2 + p
-        for dtype, limit in _FLOAT_TIERS:
-            if bound <= limit:
-                fa, fk = _as_floats(a, dtype), _as_floats(k, dtype)
-                fb = b.astype(dtype)
-                if b.ndim == 1:
-                    chained = (fa @ (fk @ fb)).astype(np.int64)
-                    break
-                # a batch arrives as rows.T: formed row by row, the chain has
-                # fb's memory order, and the sum below runs over both in step
-                chained = ((fb.T @ fk.T) @ fa.T).T
-                fb *= scalar
-                fb[: len(chained)] += chained
-                return _reduce(fb, p)
+    if isinstance(a, Factored):
+        if a.floats is None:
+            chained = mulmod(a.a, mulmod(a.k, b, p), p)
+        elif b.ndim == 1:
+            fa, fk = a.floats
+            chained = fa.dot(fk.dot(b.astype(fk.dtype))).astype(np.int64)
         else:
-            chained = mulmod(a, mulmod(k, b, p), p)
-        out = scalar * b
+            fa, fk = a.floats
+            fb = b.astype(fk.dtype)
+            # a batch arrives as rows.T: formed row by row, the chain has
+            # fb's memory order, and the sum below runs over both in step
+            chained = ((fb.T @ fk.T) @ fa.T).T
+            fb *= a.scalar
+            fb[: len(chained)] += chained
+            return _reduce(fb, p)
+        out = a.scalar * b
         out[: len(chained)] += chained
         return np.remainder(out, p, out=out)
     if isinstance(b, FieldMatrix) and b._factors is not None and b._factors[1]:
@@ -345,7 +379,15 @@ def as_vector(field: PrimeField, v) -> np.ndarray:
 
 
 def as_vectors(field: PrimeField, v) -> np.ndarray:
-    """Coerce one vector or a (rows, n) batch of them to canonical residues."""
+    """Coerce one vector or a (rows, n) batch of them to canonical residues.
+
+    A 1-D or 2-D int64 ndarray is not copied: it is returned as it is when
+    every entry is already a residue, else reduced into a new array. The
+    caller must not write to the result.
+    """
+    if type(v) is np.ndarray and v.dtype == np.int64 and v.ndim in (1, 2):
+        # one unsigned maximum: negative entries wrap above 2**63
+        return v % field.p if v.size and v.view(np.uint64).max() >= field.p else v
     return _residues(field, v, (1, 2), "expected a vector or a 2-D batch of them")
 
 

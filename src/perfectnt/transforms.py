@@ -20,14 +20,15 @@ keeps T = lambda*I + A*K with only A's first m rows, the rest being zero (m = r
 for null rows and the appendix, else N). One tail certifies every build by r x r
 algebra: det T = lambda^(N-r) det(lambda*I_r + K*A) (Sylvester), and T^-1 =
 lambda^-1 I + A'*K with A' = -lambda^-1 A (lambda*I_r + K*A)^-1 (Woodbury), the
-same form. apply computes lambda*v + A*(K*v), O(rN) per vector with r close
-to log_p N for Hamming codes: a fast Hamming NTT for every inflation.
+same form. Each side is one matrix.Factored operand, which resolves its float
+tier and float copies of A and K once, at build. apply computes lambda*v +
+A*(K*v), O(rN) per vector with r close to log_p N for Hamming codes: a fast
+Hamming NTT for every inflation. An int64 array given to apply is not copied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -35,6 +36,7 @@ import numpy as np
 from .codes import CodeSpec, perfect_witness
 from .gf import PrimeField
 from .matrix import (
+    Factored,
     FieldMatrix,
     as_vectors,
     determinant,
@@ -68,40 +70,6 @@ class EigenvalueUnsuitableError(ValueError):
         )
 
 
-class _Structured:
-    """scalar*I + A*K, with A (m x r) the nonzero leading rows and K r x N."""
-
-    def __init__(self, scalar: int, a: FieldMatrix, k: FieldMatrix):
-        self.factors = (scalar, a, k)  # the factored operand of mulmod
-        self.p = k.field.p
-
-    @cached_property
-    def top(self) -> FieldMatrix:
-        """The first m rows: A*K + scalar*[I_m | 0]."""
-        scalar, a, k = self.factors
-        rows = mulmod(a, k, self.p)
-        d = np.arange(a.rows)
-        rows[d, d] = (rows[d, d] + scalar) % self.p
-        return FieldMatrix(k.field, rows)
-
-    @cached_property
-    def dense(self) -> FieldMatrix:
-        """The N x N matrix; it keeps the factors, and mulmod multiplies through them."""
-        m, n = self.top.shape
-        data = self.top.data
-        if m < n:
-            bottom = self.factors[0] * np.eye(n - m, n, m, dtype=np.int64)
-            data = np.vstack([data, bottom])
-        return FieldMatrix._wrap(self.top.field, data, factors=(self.factors, False))
-
-    def apply(self, vs: np.ndarray) -> np.ndarray:
-        """The product with one vector, or with each row of a (rows, N) batch.
-
-        scalar*v + A*(K*v), O(rN) per vector; T itself is never formed.
-        """
-        return mulmod(self.factors, vs.T, self.p).T
-
-
 @dataclass(frozen=True)
 class TransformSpec:
     """A built transform: T and T^-1 in structured form, and det T.
@@ -117,8 +85,8 @@ class TransformSpec:
     lam: int
     form: str
     det: int
-    _forward: _Structured = dataclass_field(compare=False)  # code, lam and form fix T
-    _inverse: _Structured = dataclass_field(compare=False)
+    _forward: Factored = dataclass_field(compare=False)  # code, lam and form fix T
+    _inverse: Factored = dataclass_field(compare=False)
 
     @property
     def field(self) -> PrimeField:
@@ -145,11 +113,11 @@ class TransformSpec:
 
     def apply(self, v) -> np.ndarray:
         """T v for one vector; for a (rows, N) batch, T applied to each row."""
-        return self._forward.apply(self._vectors(v))
+        return mulmod(self._forward, self._vectors(v).T, self.field.p).T
 
     def apply_inverse(self, v) -> np.ndarray:
         """T^-1 v for one vector; for a (rows, N) batch, T^-1 applied to each row."""
-        return self._inverse.apply(self._vectors(v))
+        return mulmod(self._inverse, self._vectors(v).T, self.field.p).T
 
     def first_column(self) -> np.ndarray:
         return self.matrix.column(0)
@@ -167,17 +135,17 @@ def _finish(code: CodeSpec, lam: int, a: FieldMatrix, k: FieldMatrix, form: str)
     """
     field, p, lam = code.field, code.field.p, lam % code.field.p
     r, n = k.shape
-    forward = _Structured(lam, a, k)
     core = FieldMatrix(field, mulmod(k[:, : a.rows], a, p) + lam * np.eye(r, dtype=np.int64))
     det = pow(lam, n - r, p) * determinant(core) % p
     if det == 0:
         raise EigenvalueUnsuitableError(lam, code.label)
+    forward = Factored(lam, a, k)
     if lam == 0:
-        backward = _Structured(0, inverse(forward.top), FieldMatrix.identity(field, n))
+        backward = Factored(0, inverse(forward.top), FieldMatrix.identity(field, n))
     else:
         lam_inv = pow(lam, -1, p)
         a_inv = mulmod(a, inverse(core), p) * (p - lam_inv) % p
-        backward = _Structured(lam_inv, FieldMatrix(field, a_inv), k)
+        backward = Factored(lam_inv, FieldMatrix(field, a_inv), k)
     return TransformSpec(code, lam, form, det, forward, backward)
 
 

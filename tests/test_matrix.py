@@ -9,6 +9,7 @@ from perfectnt import matrix, reference
 from perfectnt.codes import cyclic_hamming_spec, hamming_parity_check
 from perfectnt.gf import ModulusMismatchError, PrimeField
 from perfectnt.matrix import (
+    Factored,
     FieldMatrix,
     SingularMatrixError,
     as_vector,
@@ -532,9 +533,10 @@ def python_chain(s, a, k, v, p):
 
 
 def test_chained_mulmod_path_follows_the_bound(monkeypatch):
-    # the factored operand (s, A, K), A m x r and K r x N: float32 while
+    # the factored operand s*I + A*K, A m x r and K r x N: float32 while
     # r*N*(p-1)**3 + (p-1)**2 + p <= 2**24, float64 while <= 2**53, K@v reduced
-    # first past that; a batch is reduced in the float type, one vector in int64
+    # first past that; a batch is reduced in the float type, one vector in int64.
+    # The operand converts A and K to its float type when it is built.
     floated, inner_calls, reduced = [], [], []
     real_floats, real_mulmod, real_reduce = matrix._as_floats, matrix.mulmod, matrix._reduce
 
@@ -560,17 +562,28 @@ def test_chained_mulmod_path_follows_the_bound(monkeypatch):
         floated.clear()
         inner_calls.clear()
         reduced.clear()
+        field = PrimeField(p)
         try:
-            got = real_mulmod((s, a, k), v, p)
+            operand = Factored(s, FieldMatrix._wrap(field, a), FieldMatrix._wrap(field, k))
+        except _PathChosen:  # a float copy of A, only while not computing
+            return floated[0]
+        # the tier is fixed at build: both factors in one float type, or neither
+        built = floated.copy()
+        assert built == ([] if operand.floats is None else [operand.floats[0].dtype.name] * 2)
+        try:
+            got = real_mulmod(operand, v, p)
             assert got.dtype == np.int64
             assert got.tolist() == python_chain(s, a, k, v, p)
-        except _PathChosen:  # only while not computing
+        except _PathChosen:  # an inner product past 2**53, only while not computing
             pass
-        if inner_calls:
+        if operand.floats is None:
+            assert inner_calls  # K@v reduced first, through the kernel itself
             return "reduced first"
-        # the float tier reduces a batch itself, in that type, and a vector never
-        assert reduced == ([floated[0]] if v.ndim == 2 and compute else []), reduced
-        return floated[0]
+        # a call converts neither factor again; the float tier reduces a batch
+        # itself, in that type, and a vector never
+        assert floated == built and not inner_calls
+        assert reduced == ([built[0]] if v.ndim == 2 else []), reduced
+        return built[0]
 
     def full(shape, x):
         # zero-stride: nothing of this size is allocated until a float copy
@@ -619,6 +632,42 @@ def test_chained_mulmod_path_follows_the_bound(monkeypatch):
     ):
         v_shape = (n,) if cols is None else (n, cols)
         assert path(1, full((1, r), 1), full((r, n), 1), full(v_shape, 1), 2) == want, (r, n)
+
+
+@pytest.mark.parametrize(
+    "p,m,form,tier",
+    [(7, 4, "standard", "float32"), (2, 8, "cyclic", "float32"), (257, 2, "standard", "float64")],
+    ids=["h400", "c255", "h258-p257"],
+)
+def test_an_operand_converts_its_factors_once(monkeypatch, p, m, form, tier):
+    # the tier and the float copies of A and K are fixed when the operand is
+    # built; no call, single or batched, through apply or a dense view, makes a
+    # float copy of A, K or T
+    if form == "cyclic":
+        t = build_cyclic(cyclic_hamming_spec(p, m), 1)
+    else:
+        t = build_standard(hamming_parity_check(p, m), 3)
+    sides = (t._forward, t._inverse)
+    views = (t.matrix, t.inverse_matrix)  # forming T's rows, A@K, is not a call
+    built = [side.floats for side in sides]
+    for side in sides:
+        assert [f.dtype.name for f in side.floats] == [tier, tier]
+        assert [f.shape for f in side.floats] == [side.a.shape, side.k.shape]
+        assert not any(f.flags.writeable for f in side.floats)
+    copies = []
+    real_floats, real_data = matrix._as_floats, FieldMatrix._float_data
+    monkeypatch.setattr(matrix, "_as_floats", lambda x, d: copies.append(x) or real_floats(x, d))
+    monkeypatch.setattr(FieldMatrix, "_float_data", lambda x: copies.append(x) or real_data(x))
+    rows = np.random.default_rng(p).integers(0, p, size=(64, t.n))
+    assert np.array_equal(t.apply_inverse(t.apply(rows)), rows)
+    assert np.array_equal(t.apply_inverse(t.apply(rows[0])), rows[0])
+    for view in views:
+        product = FieldMatrix(t.field, rows) @ view.transpose()
+        assert np.array_equal(view.mat_vec(rows[0]), product.data[0])
+        assert np.array_equal((view @ FieldMatrix(t.field, rows.T)).data, product.data.T)
+        assert view._floats is None
+    assert copies == []
+    assert all(side.floats is floats for side, floats in zip(sides, built))
 
 
 def test_mulmod_refuses_what_int64_cannot_hold():
@@ -730,7 +779,7 @@ def test_batches_of_64_through_the_transpose_match_apply(monkeypatch, p, m, form
         t = build_standard(hamming_parity_check(p, m), 3)
     n = t.n
     mt = t.matrix.transpose()
-    assert mt._factors == (t._forward.factors, True)
+    assert mt._factors == (t._forward, True)
     rows = np.random.default_rng(n).integers(0, p, size=(64, n))
     kept = rows.copy()
     floated, real_floats = [], matrix._as_floats
@@ -741,9 +790,11 @@ def test_batches_of_64_through_the_transpose_match_apply(monkeypatch, p, m, form
 
     monkeypatch.setattr(matrix, "_as_floats", float_spy)
     product = FieldMatrix(t.field, rows) @ mt
-    # only A and K went to BLAS: O(rN) per row, and no float copy of T
-    scalar, a, k = t._forward.factors
-    assert [x.shape for x in floated] == [a.shape, k.shape]
+    # only A and K go to BLAS, as the float copies the operand made when it was
+    # built: O(rN) per row, no conversion per call, and no float copy of T
+    operand = t._forward
+    assert floated == []
+    assert [x.shape for x in operand.floats] == [operand.a.shape, operand.k.shape]
     assert t.matrix._floats is None and mt._floats is None
     monkeypatch.undo()
     assert np.array_equal(rows, kept)

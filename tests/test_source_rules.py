@@ -12,24 +12,41 @@ PACKAGE = Path(perfectnt.__file__).resolve().parent
 ROOT = PACKAGE.parents[1]
 
 
+# numpy's product functions: any `.dot(` call, and these on np or numpy
+PRODUCT_FUNCTIONS = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum"}
+
+
+def _products(tree: ast.AST) -> list[ast.AST]:
+    """Every matrix product: `@`, `@=`, `x.dot(...)` and np.matmul and its kin."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(node)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = getattr(node.func.value, "id", None)
+            if node.func.attr == "dot" or (
+                node.func.attr in PRODUCT_FUNCTIONS and owner in ("np", "numpy")
+            ):
+                found.append(node)
+    return found
+
+
 def test_matrix_products_only_in_the_kernel():
     # every product-then-reduce goes through matrix.mulmod, where its overflow
-    # bound is checked; an `@` anywhere else would bypass that check
+    # bound is checked; a product anywhere else would bypass that check
+    snippet = "a @ b\nc @= d\ne.dot(f)\nnp.einsum('ij->i', g)\nnumpy.vdot(h, h)\nnp.sum(i)\n"
+    assert sorted(node.lineno for node in _products(ast.parse(snippet))) == [1, 2, 3, 4, 5]
     stray = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for name, tree in _package_trees().items():
         allowed = set()
-        if path.name == "matrix.py":
+        if name == "matrix.py":
             kernel = next(
                 node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == "mulmod"
             )
             allowed = {id(node) for node in ast.walk(kernel)}
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-                if id(node) not in allowed:
-                    stray.append(f"{path.name}:{node.lineno}")
-    assert not stray, f"`@` outside matrix.mulmod: {stray}"
+        stray += [f"{name}:{node.lineno}" for node in _products(tree) if id(node) not in allowed]
+    assert not stray, f"matrix products outside matrix.mulmod: {stray}"
 
 
 FLOAT_TYPES = {"float16", "float32", "float64", "float128", "half", "single", "double", "longdouble"}
@@ -171,7 +188,7 @@ def _scoped(tree: ast.AST, scope: str = ""):
 
 def test_factors_are_attached_only_to_transform_views():
     # mulmod multiplies a matrix that carries `_factors` through them and never
-    # reads its data, so only a transform's dense view (_Structured.dense) and
+    # reads its data, so only a transform's dense view (Factored.dense) and
     # the transpose of one may attach them; _wrap's `factors` is keyword-only,
     # _set stores it, and only the constructors call _set
     sites, setters, stores = set(), set(), set()
@@ -186,6 +203,6 @@ def test_factors_are_attached_only_to_transform_views():
                     sites.add(where)
             if isinstance(node, ast.Constant) and node.value == "_factors":
                 stores.add(where)
-    assert sites == {"transforms.py:_Structured.dense", "matrix.py:FieldMatrix.transpose"}, sites
+    assert sites == {"matrix.py:Factored.dense", "matrix.py:FieldMatrix.transpose"}, sites
     assert setters == {"matrix.py:FieldMatrix.__init__", "matrix.py:FieldMatrix._wrap"}, setters
     assert stores == {"matrix.py:FieldMatrix", "matrix.py:FieldMatrix._set"}, stores

@@ -521,6 +521,76 @@ def test_apply_matches_the_dense_views(build):
         assert route(vs[:0]).shape == (0, t.n)
 
 
+def _apply_inputs(p: int, n: int) -> dict:
+    """name -> apply input: int64 arrays in every layout, which are read without
+    a copy, and every other kind of input, which is converted first."""
+    rows = np.random.default_rng(n).integers(-10, 10, size=(4, n))
+    big = np.zeros((8, 3 * n), dtype=np.int64)
+    big[::2, ::3] = rows
+    return {
+        "c-ordered": rows,
+        "vector": rows[0].copy(),
+        "strided": big[::2, ::3],
+        "strided-vector": big[0, ::3],
+        "transposed": np.asfortranarray(rows),
+        "broadcast": np.broadcast_to(rows[0], (3, n)),
+        "extremes": np.array([[-(2**63), 2**63 - 1, p, -1] + [0] * (n - 4)]),
+        "empty": np.zeros((0, n), dtype=np.int64),
+        "int32": rows.astype(np.int32),
+        "uint8": (rows % 256).astype(np.uint8),
+        "uint64": np.full(n, 2**63 - 1, dtype=np.uint64),
+        "object": rows.astype(object),
+        "list": rows.tolist(),
+        "list-vector": rows[0].tolist(),
+    }
+
+
+_NOT_INTEGERS = "entries must be integers, in rows of equal length; got "
+_APPLY_REFUSALS = {
+    "uint64-past-2**63": (
+        lambda n: np.array([2**63] + [0] * (n - 1), dtype=np.uint64),
+        "entries must lie in the int64 range [-2**63, 2**63)",
+    ),
+    "object-past-2**63": (
+        lambda n: np.array([2**70] + [0] * (n - 1), dtype=object),
+        "entries must lie in the int64 range [-2**63, 2**63)",
+    ),
+    "bool": (lambda n: np.ones((2, n), dtype=bool), _NOT_INTEGERS + "bool"),
+    "float": (lambda n: np.ones(n), _NOT_INTEGERS + "float"),
+    "ragged": (lambda n: [[1] * n, [1]], _NOT_INTEGERS + "list"),
+    "long": (lambda n: np.zeros(n + 1, dtype=np.int64), "expected a length-{n} vector, got {m}"),
+    "long-list": (lambda n: [0] * (n + 1), "expected a length-{n} vector, got {m}"),
+    "0-d": (lambda n: np.array(3), "expected a vector or a 2-D batch of them, got shape ()"),
+    "3-d": (
+        lambda n: np.zeros((2, 2, n), dtype=np.int64),
+        "expected a vector or a 2-D batch of them, got shape (2, 2, {n})",
+    ),
+}
+
+
+@pytest.mark.parametrize("build", [b for _, b in APPLY_CASES[:2]], ids=["standard", "cyclic"])
+def test_apply_reads_every_input_kind_without_changing_it(build):
+    # an int64 array is read in place, and every other input converted, with
+    # the same results and refusals; the caller's array is never written to,
+    # and no result shares memory with it
+    t = build()
+    p, n = t.field.p, t.n
+    for route, dense in ((t.apply, t.matrix), (t.apply_inverse, t.inverse_matrix)):
+        for name, v in _apply_inputs(p, n).items():
+            kept = np.array(v, dtype=object)
+            got = route(v)
+            residues = np.array(kept % p, dtype=np.int64)
+            assert got.dtype == np.int64 and got.shape == residues.shape, name
+            assert got.tolist() == python_product(residues, dense.data.T, p), name
+            assert np.array_equal(np.array(v, dtype=object), kept), name
+            assert not (isinstance(v, np.ndarray) and np.shares_memory(got, v)), name
+        for name, (make, message) in _APPLY_REFUSALS.items():
+            v = make(n)
+            with pytest.raises(ValueError) as exc:
+                route(v)
+            assert str(exc.value) == message.format(n=n, m=n + 1), name
+
+
 @pytest.mark.parametrize("build", [b for _, b in APPLY_CASES], ids=[n for n, _ in APPLY_CASES])
 def test_products_with_the_dense_views_run_through_the_factors(monkeypatch, build):
     # rows @ view.T, view @ X and view.mat_vec equal Python-int products, and
@@ -549,9 +619,10 @@ def test_products_with_the_dense_views_run_through_the_factors(monkeypatch, buil
     monkeypatch.setattr(matrix, "_as_ints", ints_spy)
     monkeypatch.setattr(FieldMatrix, "_float_data", float_data_spy)
     for view, side in zip(views, (t._forward, t._inverse)):
-        assert view._factors == (side.factors, False)
-        assert view.transpose()._factors == (side.factors, True)
-        assert view.transpose().transpose()._factors == (side.factors, False)
+        assert view._factors == (side, False)
+        assert view.transpose()._factors == (side, True)
+        assert view.transpose().transpose()._factors == (side, False)
+        operands.extend(side.floats or ())
         dense = view.data
         for count in (1, 3, 64, 300):
             rows = rng.integers(0, p, size=(count, n))
@@ -566,6 +637,28 @@ def test_products_with_the_dense_views_run_through_the_factors(monkeypatch, buil
             assert not np.may_share_memory(data, dense), x.shape
         assert not any(m._factors for m in float_copies)
         assert view._floats is None
+
+
+def test_products_raise_no_floating_point_flag(golden):
+    # every golden transform's float products, with every floating-point flag
+    # an error: vectors and batches through apply and apply_inverse, and
+    # products with both dense views and their transposes on either side
+    rng = np.random.default_rng(18)
+    with np.errstate(all="raise"):
+        for name, t in golden.items():
+            p = t.field.p
+            rows = rng.integers(0, p, size=(64, t.n))
+            batch = FieldMatrix(t.field, rows)
+            for route, view in ((t.apply, t.matrix), (t.apply_inverse, t.inverse_matrix)):
+                want, want_left = rows @ view.data.T % p, rows @ view.data % p
+                assert np.array_equal(route(rows), want), name
+                assert all(np.array_equal(route(v), w) for v, w in zip(rows, want)), name
+                assert np.array_equal((batch @ view.transpose()).data, want), name
+                assert np.array_equal((view @ batch.transpose()).data, want.T), name
+                assert np.array_equal(view.mat_vec(rows[0]), want[0]), name
+                assert np.array_equal((batch @ view).data, want_left), name
+                left = view.transpose() @ batch.transpose()
+                assert np.array_equal(left.data, want_left.T), name
 
 
 def test_only_products_keep_a_view_factored():
