@@ -3,48 +3,45 @@
 Entries are canonical residues held in read-only int64 arrays. Every
 product-then-reduce in the package goes through one kernel, :func:`mulmod`,
 which reduces once after the whole product. A dot product of length N of
-residues is at most N*(p-1)**2, and the kernel picks its path from that
-bound:
+residues is at most N*(p-1)**2:
 
-- while N*(p-1)**2 + p <= 2**24, a product of at least
-  :data:`FLOAT_MIN_MACS` multiply-adds runs in float32 BLAS (sgemm/sgemv);
-- while N*(p-1)**2 + p <= 2**53, it runs in float64 BLAS instead;
-- while N*(p-1)**2 < 2**63, it is an int64 product; :class:`PrimeField`
-  refuses p >= 2**21 (:data:`perfectnt.gf.MAX_MODULUS`), so this holds for
-  every inner dimension below 2**21;
+- while N*(p-1)**2 < 2**63, a plain product is an int64 product;
+  :class:`PrimeField` refuses p >= 2**21 (:data:`perfectnt.gf.MAX_MODULUS`),
+  so this holds for every inner dimension below 2**21;
 - otherwise the product is refused with ValueError.
 
-A float type with a t-bit significand holds every integer up to 2**t, so
-every partial sum is exact in any summation order (the delayed reduction
-of FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008). The float
-result P = q*p + s, 0 <= s < p, is reduced in the same type, as
-P - floor(P/p)*p, and the margin of p makes that exact. P/p lies in
-[q, q + 1 - 1/p] and below (P + p)/p <= 2**t/p, so its correctly rounded
-value is within half an ulp of it, which is less than 1/p, and never below
-the float q: its floor is q. Then q*p <= P and P - q*p are exact.
+Float BLAS belongs to the factored chain of a transform alone. A transform
+T = s*I + A*K (A m x r, K r x N, the rows of A past m zero) is applied
+without forming T: :func:`mulmod` takes it as a :class:`Factored` operand
+and computes s*v + A*(K*v), O(rN) per vector. An entry of K*v is a sum of N
+products of residues, at most N*(p-1)**2, and an entry of A*(K*v) a sum of
+r products of a residue and such an entry, at most r*N*(p-1)**3; no partial
+sum of either product exceeds that bound, and s*v adds at most (p-1)**2.
+So while r*N*(p-1)**3 + (p-1)**2 + p <= 2**24 the chain runs in float32,
+and while it is <= 2**53 in float64.
 
-A transform T = s*I + A*K (A m x r, K r x N, the rows of A past m zero) is
-applied without forming T: :func:`mulmod` takes it as a :class:`Factored`
-operand and computes s*v + A*(K*v), O(rN) per vector. An entry of K*v is
-a sum of N products of residues, at most N*(p-1)**2, and an entry of
-A*(K*v) a sum of r products of a residue and such an entry, at most
-r*N*(p-1)**3; no partial sum of either product exceeds that bound, and
-s*v adds at most (p-1)**2. So while r*N*(p-1)**3 + (p-1)**2 + p <= 2**24
-the chain runs in float32, and while it is <= 2**53 in float64: every
-partial sum, and the sum P = s*v + A*(K*v), is an exact float integer with
-P + p <= 2**t, which the margin-of-p argument above reduces exactly. The
-operand resolves that tier once, when it is built, and keeps read-only
+A float type with a t-bit significand holds every integer up to 2**t, so
+every partial sum, and the sum P = s*v + A*(K*v), is an exact float integer
+in any summation order (the delayed reduction of FFLAS-FFPACK, Dumas,
+Giorgi and Pernet, ACM TOMS 2008). P = q*p + s', 0 <= s' < p, is reduced in
+the same type, as P - floor(P/p)*p, and the margin of p makes that exact:
+P/p lies in [q, q + 1 - 1/p] and below (P + p)/p <= 2**t/p, so its
+correctly rounded value is within half an ulp of it, which is less than
+1/p, and never below the float q: its floor is q. Then q*p <= P and P - q*p
+are exact.
+
+The operand resolves its tier once, when it is built, and keeps read-only
 copies of A and K in its float type. A batch is reduced that way, in the
 float type; a single vector runs as two matrix-vector products (sgemv or
 dgemv, through ``.dot``) and is reduced by one int64 remainder. Past
-2**53, K*v is reduced first, and the two products are ordinary ones with
-inner dimensions N and r, each under the bounds above.
+2**53, K*v is reduced first, and the two products are ordinary int64 ones
+with inner dimensions N and r.
 
 The dense views of a transform, ``t.matrix`` and ``t.inverse_matrix``,
 remember the factors they were formed from, and so do their transposes.
 :func:`mulmod` multiplies through them: T @ b is the chain on b, and
-a @ T.T is (T @ a.T).T, so no N x N product, and no float copy of T, is
-made for them. Every other operation on a view returns a plain matrix.
+a @ T.T is (T @ a.T).T, so no N x N product is made for them. Every other
+operation on a view returns a plain matrix.
 
 The elimination update (:func:`_clear_column`) is elementwise and keeps
 its products below p**2.
@@ -58,7 +55,6 @@ field without special-casing small p.
 from __future__ import annotations
 
 import json
-import math
 from functools import cached_property
 
 import numpy as np
@@ -66,14 +62,8 @@ import numpy as np
 from .gf import ModulusMismatchError, PrimeField
 from .poly import FieldPoly
 
-# Below this many multiply-adds the float conversions and the reduction cost
-# more than BLAS saves (a 23x22 Berkowitz step, a 4x400 block times one
-# vector): use int64. On a 2-vCPU Xeon the float32 path overtook int64 at
-# 6 000-8 000 multiply-adds for a cached matrix times a vector or a small
-# square product.
-FLOAT_MIN_MACS = 8192
-
-# (float type, 2**significand bits): the float tiers of mulmod, narrowest first
+# (float type, 2**significand bits): the float tiers of the factored chain,
+# narrowest first
 _FLOAT_TIERS = ((np.float32, 2**24), (np.float64, 2**53))
 
 class SingularMatrixError(ValueError):
@@ -87,46 +77,27 @@ class SingularMatrixError(ValueError):
 class FieldMatrix:
     """Immutable dense matrix over GF(p)."""
 
-    __slots__ = ("field", "data", "_floats", "_factors")
+    __slots__ = ("field", "data", "_factors")
 
     def __init__(self, field: PrimeField, data):
         self._set(field, _residues(field, data, (2,), "matrix data must be 2-dimensional"))
 
     @classmethod
-    def _wrap(
-        cls, field: PrimeField, data: np.ndarray, floats=None, *, factors=None
-    ) -> "FieldMatrix":
+    def _wrap(cls, field: PrimeField, data: np.ndarray, *, factors=None) -> "FieldMatrix":
         """A matrix over `data`, which already holds canonical int64 residues.
 
         `factors` is given for a transform's dense view only: (operand,
         transposed), the Factored operand that `data` or its transpose equals.
         """
         m = object.__new__(cls)
-        m._set(field, data, floats, factors)
+        m._set(field, data, factors)
         return m
 
-    def _set(self, field: PrimeField, data: np.ndarray, floats=None, factors=None) -> None:
+    def _set(self, field: PrimeField, data: np.ndarray, factors=None) -> None:
         data.setflags(write=False)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "_floats", floats)
         object.__setattr__(self, "_factors", factors)
-
-    def _float_data(self) -> np.ndarray:
-        """Read-only float copy of `data`, built on first use and kept.
-
-        Its type is the narrowest float tier that holds every product this
-        matrix or its transpose can take part in: the inner dimension is
-        one of its own.
-        """
-        if self._floats is None:
-            p = self.field.p
-            bound = max(self.shape) * (p - 1) ** 2 + p
-            dtype = next((t for t, limit in _FLOAT_TIERS if bound <= limit), np.float64)
-            floats = self.data.astype(dtype)
-            floats.setflags(write=False)
-            object.__setattr__(self, "_floats", floats)
-        return self._floats
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldMatrix is immutable")
@@ -162,13 +133,13 @@ class FieldMatrix:
         return self.data[:, j]
 
     def transpose(self) -> "FieldMatrix":
-        """The transpose, as views of this matrix's int64 data and float copy.
+        """The transpose, a view of this matrix's int64 data.
 
-        The transpose of a transform's dense view keeps its factors instead,
-        marked transposed, and has no float copy.
+        The transpose of a transform's dense view keeps its factors, marked
+        transposed.
         """
         if self._factors is None:
-            return FieldMatrix._wrap(self.field, self.data.T, self._float_data().T)
+            return FieldMatrix._wrap(self.field, self.data.T)
         operand, transposed = self._factors
         return FieldMatrix._wrap(self.field, self.data.T, factors=(operand, not transposed))
 
@@ -243,7 +214,7 @@ class Factored:
         r, n = k.shape
         bound = r * n * (self.p - 1) ** 3 + (self.p - 1) ** 2 + self.p
         dtype = next((t for t, limit in _FLOAT_TIERS if bound <= limit), None)
-        self.floats = None if dtype is None else tuple(_as_floats(x, dtype) for x in (a, k))
+        self.floats = None if dtype is None else tuple(x.data.astype(dtype) for x in (a, k))
         for floats in self.floats or ():
             floats.setflags(write=False)
 
@@ -304,12 +275,10 @@ def _is_int_type(t: type) -> bool:
 def mulmod(a, b, p: int) -> np.ndarray:
     """(a @ b) % p as canonical int64 residues: the package's one product kernel.
 
-    Each operand is an int64 array of residues, or a FieldMatrix, whose cached
-    float copy is then used. The path follows from the proven bound on every
-    partial sum, inner * (p-1)**2, and from the shape (see the module
-    docstring): for products of at least FLOAT_MIN_MACS multiply-adds, float32
-    BLAS while bound + p <= 2**24 and float64 BLAS while bound + p <= 2**53;
-    otherwise the int64 product below 2**63, and a ValueError above.
+    Each operand is an int64 array of residues or a FieldMatrix. The product
+    runs in int64 while the bound on every partial sum, inner * (p-1)**2, is
+    below 2**63, and is refused with ValueError from there (see the module
+    docstring).
 
     `a` may also be a Factored operand s*I + A@K, and `b` an int64 array with
     N rows: the chain s*b + A@(K@b), in the tier the operand resolved. A
@@ -339,13 +308,7 @@ def mulmod(a, b, p: int) -> np.ndarray:
     if isinstance(a, FieldMatrix) and a._factors is not None and not a._factors[1]:
         return mulmod(a._factors[0], _as_ints(b), p)
     inner = a.shape[-1]
-    bound = inner * (p - 1) ** 2
-    macs = math.prod(a.shape) * math.prod(b.shape) // max(inner, 1)
-    if macs >= FLOAT_MIN_MACS:
-        for dtype, limit in _FLOAT_TIERS:
-            if bound + p <= limit:
-                return _reduce(_as_floats(a, dtype) @ _as_floats(b, dtype), p)
-    if bound >= 2**63:
+    if inner * (p - 1) ** 2 >= 2**63:
         raise ValueError(f"a product of inner dimension {inner} over GF({p}) would overflow int64")
     return _as_ints(a) @ _as_ints(b) % p
 
@@ -362,11 +325,6 @@ def _reduce(product: np.ndarray, p: int) -> np.ndarray:
     product -= quotient
     del quotient  # freed before the int64 copy is made
     return product.astype(np.int64)
-
-
-def _as_floats(x, dtype) -> np.ndarray:
-    floats = x._float_data() if isinstance(x, FieldMatrix) else x
-    return floats if floats.dtype == dtype else floats.astype(dtype)
 
 
 def _as_ints(x) -> np.ndarray:

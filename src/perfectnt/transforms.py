@@ -58,6 +58,10 @@ FORM_APPENDIX = "appendix_systematic"
 # to a square matrix (indices into the parity rows, applied in order).
 EXTENDED_GOLAY_COMBINATION_PAIRS = ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2))
 
+# The most residues one property check draws, trials x N: a (trials, N) int64
+# batch of 2**24 takes 128 MiB, and 1000 trials at N = 16383 stay below it.
+MAX_TRIAL_ENTRIES = 2**24
+
 
 class EigenvalueUnsuitableError(ValueError):
     """The chosen lambda makes H_e + lambda*I singular."""
@@ -319,6 +323,16 @@ class PropertyReport:
         return [c.line() for c in self.checks]
 
 
+def check_trials(trials: int, n: int) -> None:
+    """Refuse fewer than 1 trial, or more than MAX_TRIAL_ENTRIES residues per draw."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if trials * n > MAX_TRIAL_ENTRIES:
+        raise ValueError(
+            f"trials * N = {trials} * {n} exceeds the bound 2**24 = {MAX_TRIAL_ENTRIES}"
+        )
+
+
 def verify_properties(t: TransformSpec, trials: int = 1000, seed: int = 1234) -> PropertyReport:
     """Randomized and exact checks of the transform's algebraic behavior.
 
@@ -330,8 +344,7 @@ def verify_properties(t: TransformSpec, trials: int = 1000, seed: int = 1234) ->
     sum as the scaling factor, and agreement of the matrix and
     polynomial application routes.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    check_trials(trials, t.n)
     rng = np.random.default_rng(seed)
     p = t.field.p
     n = t.n

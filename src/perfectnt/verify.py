@@ -42,6 +42,7 @@ from .transforms import (
     build_cyclic,
     build_extended_golay,
     build_standard,
+    check_trials,
     eigenspace,
     verify_properties,
 )
@@ -198,9 +199,8 @@ def run_target(
     "det≠0" when the determinant is nonzero, and "order=<e>" when the
     multiplicative order was computed for this target.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
     t = target.build()
+    check_trials(trials, t.n)
     claims = target.claims
     checks: list[CheckResult] = []
     p = t.field.p

@@ -59,3 +59,9 @@ def python_product(a, b, p):
     if b.ndim == 1:
         out = [row[0] for row in out]
     return out if a.ndim == 2 else out[0]
+
+
+def holds_no_float_array(m: FieldMatrix) -> bool:
+    """No slot of `m` holds a float array: a FieldMatrix keeps int64 data only."""
+    values = (getattr(m, name) for name in FieldMatrix.__slots__)
+    return not any(isinstance(v, np.ndarray) and v.dtype.kind == "f" for v in values)

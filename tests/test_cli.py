@@ -16,7 +16,8 @@ from perfectnt.cli import main
 from perfectnt.codes import UnsupportedParametersError
 from perfectnt.gf import MAX_LENGTH, PrimeField
 from perfectnt.matrix import FieldMatrix, parse_matrix
-from perfectnt.verify import resolve
+from perfectnt.transforms import verify_properties
+from perfectnt.verify import resolve, run_target, select_targets
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -212,6 +213,33 @@ def test_oversized_selector_is_refused_quickly(capsys, command, p, m, form, extr
     with pytest.raises(UnsupportedParametersError, match="maximum N"):
         resolve("hamming", p, m, form)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "family,p,m,form,trials",
+    [
+        ("golay", 3, None, "cyclic", 10**9),  # once an 82 GiB draw, then a MemoryError
+        ("hamming", 2, 8, "cyclic", 2**24 // 255 + 1),
+        ("hamming", 2, 14, "cyclic", 1025),  # 1000 trials at N = 16383 are admitted
+    ],
+)
+def test_oversized_trial_counts_are_refused_before_drawing(capsys, family, p, m, form, trials):
+    # trials * N > 2**24 is refused before any vector is drawn, by the CLI with
+    # one error line and by the library with a ValueError
+    selector = ["--code", family, "--p", str(p), "--form", form, *(["--m", str(m)] if m else [])]
+    start = time.perf_counter()
+    status, out, err = run(capsys, "verify", *selector, "--trials", str(trials))
+    assert time.perf_counter() - start < 1.0
+    assert status == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "exceeds the bound 2**24" in err
+    (target,) = select_targets(family, p, m, form)
+    t = target.build()
+    for check in (lambda: run_target(target, trials=trials), lambda: verify_properties(t, trials)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"exceeds the bound 2\*\*24"):
+            check()
+        assert time.perf_counter() - start < 1.0
 
 
 def test_oversized_modulus_in_transform_file(capsys, tmp_path):

@@ -29,11 +29,12 @@ from perfectnt.matrix import (
 from perfectnt.poly import CyclicRing, FieldPoly
 from perfectnt.transforms import build_cyclic, build_standard
 
-from helpers import kernel_basis_two_eliminations, poly_gcd, python_product
+from helpers import holds_no_float_array, kernel_basis_two_eliminations, poly_gcd, python_product
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 GF5 = PrimeField(5)
+GF7 = PrimeField(7)
 
 
 @st.composite
@@ -454,74 +455,71 @@ class _PathChosen(Exception):
 
 
 def test_mulmod_path_follows_the_bound(monkeypatch):
-    floated = []
-    real = matrix._as_floats
+    # a plain product is an int64 product while inner*(p-1)**2 < 2**63 and is
+    # refused from there; no shape and no modulus sends it to float BLAS, whose
+    # results are the only ones _reduce is given
+    reduced = []
+    real_reduce = matrix._reduce
+    monkeypatch.setattr(matrix, "_reduce", lambda x, p: reduced.append(x) or real_reduce(x, p))
 
-    def spy(x, dtype):
-        floated.append(np.dtype(dtype).name)
-        if not compute:
-            raise _PathChosen
-        return real(x, dtype)
-
-    monkeypatch.setattr(matrix, "_as_floats", spy)
-
-    def path(a, b, p):
-        """The path mulmod takes: float32, float64, int64 or refused."""
-        floated.clear()
+    def path(a, b, p, expected=None):
+        """The path mulmod takes, int64 or refused; `expected` is the product
+        when python_product would be slow."""
         try:
             got = mulmod(a, b, p)
-        except _PathChosen:
-            return floated[0]
         except ValueError as exc:
             assert "overflow int64" in str(exc)
             return "refused"
-        if compute:
-            assert got.tolist() == python_product(a, b, p)
-        return floated[0] if floated else "int64"
+        assert got.dtype == np.int64
+        assert got.tolist() == (python_product(a, b, p) if expected is None else expected)
+        return "int64"
 
     def full(shape, x):
         return np.full(shape, x, dtype=np.int64)
 
-    compute = True
-    # float32 while inner*(p-1)**2 + p <= 2**24, float64 while <= 2**53
-    for p, inner, want in (
-        (257, 255, "float32"),
-        (257, 256, "float64"),
-        (2_097_143, 2048, "float64"),
-        (2_097_143, 2049, "int64"),
-    ):
+    # on both sides of the bounds 2**24 and 2**53 on inner*(p-1)**2 + p
+    for p, inner in ((257, 255), (257, 256), (2_097_143, 2048), (2_097_143, 2049)):
         a, b = full((8, inner), p - 2), full((inner, 8), p - 2)
-        assert path(a, b, p) == want, (p, inner)
-    # the reduction margin: at p = 2, inner 2**24 - 1 keeps every sum below
-    # 2**24 but leaves float32; zero-stride operands, and the spy stops
-    # before any float product is formed
-    compute = False
-    for inner, want in ((2**24 - 2, "float32"), (2**24 - 1, "float64")):
+        assert path(a, b, p) == "int64", (p, inner)
+    # the reduction margin at p = 2: 2**24 - 2 and 2**24 - 1 terms, zero-stride
+    for inner in (2**24 - 2, 2**24 - 1):
         a = np.broadcast_to(np.int64(1), (1, inner))
         b = np.broadcast_to(np.int64(1), (inner,))
-        assert path(a, b, 2) == want, inner
+        assert path(a, b, 2, [inner % 2]) == "int64", inner
     # int64 up to 2**63, refused from there
     p = 2_097_143
     limit = -(-(2**63) // (p - 1) ** 2)  # least inner with inner * (p-1)**2 >= 2**63
     for inner, want in ((limit - 1, "int64"), (limit, "refused")):
         a = np.broadcast_to(np.int64(p - 1), (1, inner))
         b = np.broadcast_to(np.int64(p - 1), (inner,))
-        assert path(a, b, p) == want, inner
-    # inside the bound the shape decides: a Berkowitz step at N = 23 and a block
-    # row times one vector are cheaper in int64, and a 64-vector batch through
-    # an N = 400 transform runs in float32 BLAS
-    compute = True
+        assert path(a, b, p, [inner * (p - 1) ** 2 % p]) == want, inner
+    # a Berkowitz step at N = 23, a block row times one vector, and a 64-vector
+    # batch times a plain 400 x 400 matrix
     rng = np.random.default_rng(8)
-    for a_shape, b_shape, want in (
-        ((23, 22), (22,), "int64"),
-        ((4, 400), (400,), "int64"),
-        ((64, 400), (400, 400), "float32"),
-    ):
+    for a_shape, b_shape in (((23, 22), (22,)), ((4, 400), (400,)), ((64, 400), (400, 400))):
         a = rng.integers(0, 7, size=a_shape)
         b = rng.integers(0, 7, size=b_shape)
-        assert path(a, b, 7) == want, (a_shape, b_shape)
-        assert np.array_equal(mulmod(a, b, 7), np.matmul(a, b) % 7)
-    assert 23 * 22 < matrix.FLOAT_MIN_MACS <= 64 * 400 * 400
+        assert path(a, b, 7, (np.matmul(a, b) % 7).tolist()) == "int64", (a_shape, b_shape)
+    assert reduced == []
+
+
+def test_plain_products_never_reach_float_blas(monkeypatch):
+    # 64 x 400 times 400 x 400 at p = 7, once sent to float32 BLAS, and the same
+    # through the transpose of a plain matrix: exact int64, never reduced as floats
+    def refuse(product, p):
+        raise AssertionError(f"float product {product.shape} {product.dtype} reduced")
+
+    monkeypatch.setattr(matrix, "_reduce", refuse)
+    rng = np.random.default_rng(19)
+    rows = FieldMatrix(GF7, rng.integers(0, 7, size=(64, 400)))
+    m = FieldMatrix(GF7, rng.integers(0, 7, size=(400, 400)))
+    mt = m.transpose()
+    assert holds_no_float_array(m) and holds_no_float_array(mt)
+    for got, right in (((rows @ m).data, m.data), ((rows @ mt).data, m.data.T)):
+        assert got.dtype == np.int64
+        assert got[:2].tolist() == python_product(rows.data[:2], right, 7)
+        assert np.array_equal(got, rows.data @ right % 7)
+    assert mt.mat_vec(rows.data[0]).tolist() == python_product(m.data.T, rows.data[0], 7)
 
 
 def python_chain(s, a, k, v, p):
@@ -538,23 +536,27 @@ def test_chained_mulmod_path_follows_the_bound(monkeypatch):
     # first past that; a batch is reduced in the float type, one vector in int64.
     # The operand converts A and K to its float type when it is built.
     floated, inner_calls, reduced = [], [], []
-    real_floats, real_mulmod, real_reduce = matrix._as_floats, matrix.mulmod, matrix._reduce
+    real_mulmod, real_reduce = matrix.mulmod, matrix._reduce
 
-    def float_spy(x, dtype):
-        floated.append(np.dtype(dtype).name)
-        if not compute:
-            raise _PathChosen
-        return real_floats(x, dtype)
+    class Converted(np.ndarray):
+        """A factor's int64 data, recording each conversion to another type."""
+
+        def astype(self, dtype, *args, **kwargs):
+            floated.append(np.dtype(dtype).name)
+            if not compute:
+                raise _PathChosen
+            return np.asarray(super().astype(dtype, *args, **kwargs))
 
     def kernel_spy(a, b, p):
         inner_calls.append(a)
+        if not compute:
+            raise _PathChosen
         return real_mulmod(a, b, p)
 
     def reduce_spy(product, p):
         reduced.append(product.dtype.name)
         return real_reduce(product, p)
 
-    monkeypatch.setattr(matrix, "_as_floats", float_spy)
     monkeypatch.setattr(matrix, "mulmod", kernel_spy)  # the kernel calling itself
     monkeypatch.setattr(matrix, "_reduce", reduce_spy)
 
@@ -564,7 +566,8 @@ def test_chained_mulmod_path_follows_the_bound(monkeypatch):
         reduced.clear()
         field = PrimeField(p)
         try:
-            operand = Factored(s, FieldMatrix._wrap(field, a), FieldMatrix._wrap(field, k))
+            a_m, k_m = (FieldMatrix._wrap(field, x.view(Converted)) for x in (a, k))
+            operand = Factored(s, a_m, k_m)
         except _PathChosen:  # a float copy of A, only while not computing
             return floated[0]
         # the tier is fixed at build: both factors in one float type, or neither
@@ -574,7 +577,7 @@ def test_chained_mulmod_path_follows_the_bound(monkeypatch):
             got = real_mulmod(operand, v, p)
             assert got.dtype == np.int64
             assert got.tolist() == python_chain(s, a, k, v, p)
-        except _PathChosen:  # an inner product past 2**53, only while not computing
+        except _PathChosen:  # K@v reduced first, only while not computing
             pass
         if operand.floats is None:
             assert inner_calls  # K@v reduced first, through the kernel itself
@@ -641,8 +644,8 @@ def test_chained_mulmod_path_follows_the_bound(monkeypatch):
 )
 def test_an_operand_converts_its_factors_once(monkeypatch, p, m, form, tier):
     # the tier and the float copies of A and K are fixed when the operand is
-    # built; no call, single or batched, through apply or a dense view, makes a
-    # float copy of A, K or T
+    # built; no call, single or batched, through apply or a dense view, replaces
+    # them, and no matrix holds a float copy of T
     if form == "cyclic":
         t = build_cyclic(cyclic_hamming_spec(p, m), 1)
     else:
@@ -654,10 +657,9 @@ def test_an_operand_converts_its_factors_once(monkeypatch, p, m, form, tier):
         assert [f.dtype.name for f in side.floats] == [tier, tier]
         assert [f.shape for f in side.floats] == [side.a.shape, side.k.shape]
         assert not any(f.flags.writeable for f in side.floats)
-    copies = []
-    real_floats, real_data = matrix._as_floats, FieldMatrix._float_data
-    monkeypatch.setattr(matrix, "_as_floats", lambda x, d: copies.append(x) or real_floats(x, d))
-    monkeypatch.setattr(FieldMatrix, "_float_data", lambda x: copies.append(x) or real_data(x))
+    # the float arrays a call reduces are batches, (N, rows), never N x N
+    reduced, real_reduce = [], matrix._reduce
+    monkeypatch.setattr(matrix, "_reduce", lambda x, q: reduced.append(x.shape) or real_reduce(x, q))
     rows = np.random.default_rng(p).integers(0, p, size=(64, t.n))
     assert np.array_equal(t.apply_inverse(t.apply(rows)), rows)
     assert np.array_equal(t.apply_inverse(t.apply(rows[0])), rows[0])
@@ -665,9 +667,12 @@ def test_an_operand_converts_its_factors_once(monkeypatch, p, m, form, tier):
         product = FieldMatrix(t.field, rows) @ view.transpose()
         assert np.array_equal(view.mat_vec(rows[0]), product.data[0])
         assert np.array_equal((view @ FieldMatrix(t.field, rows.T)).data, product.data.T)
-        assert view._floats is None
-    assert copies == []
+        assert holds_no_float_array(view) and holds_no_float_array(view.transpose())
+    assert reduced == [(t.n, 64)] * 6
     assert all(side.floats is floats for side, floats in zip(sides, built))
+    for side in sides:
+        assert [f.dtype.name for f in side.floats] == [tier, tier]
+        assert not any(f.flags.writeable for f in side.floats)
 
 
 def test_mulmod_refuses_what_int64_cannot_hold():
@@ -692,10 +697,9 @@ def test_transpose_shares_storage_and_products_agree(p, n):
     mt = m.transpose()
     assert np.array_equal(mt.data, m.data.T)
     assert np.shares_memory(mt.data, m.data)
-    assert np.shares_memory(mt._float_data(), m._float_data())
-    # the cached copy is float32 when every product of m or mt fits that tier
-    assert m._float_data().dtype == (np.float32 if p == 7 else np.float64)
-    for arr in (mt.data, mt._float_data()):
+    assert mt.data.dtype == np.int64
+    assert holds_no_float_array(m) and holds_no_float_array(mt)
+    for arr in (m.data, mt.data):
         with pytest.raises(ValueError):
             arr[0, 0] = 1
     x = FieldMatrix(field, rng.integers(0, p, size=(2, n)))
@@ -725,13 +729,14 @@ def _laid_out(values: np.ndarray, layout: str) -> np.ndarray:
 LAYOUTS = ("c-ordered", "transposed", "strided", "broadcast")
 
 
-# (rows, inner, cols) per operand dimensions: every float shape has at least
-# FLOAT_MIN_MACS multiply-adds, and the int64 shapes have fewer
+# (rows, inner, cols) per operand dimensions. The ids name the path a plain
+# product of these shapes took while plain products could run in float BLAS:
+# the larger shapes went to float32 at p = 7 and to float64 at p = 4093. Every
+# case now runs in int64.
 FLOAT_SHAPES = {(2, 2): (16, 40, 130), (2, 1): (16, 520, 1), (1, 2): (1, 64, 130)}
 INT64_SHAPES = {(2, 2): (4, 20, 30), (2, 1): (4, 20, 1), (1, 2): (1, 20, 30)}
 
 
-# 4093 is past the float32 tier at every inner dimension above 1
 @pytest.mark.parametrize("tier,p", [("float32", 7), ("float64", 4093), ("int64", 4093)])
 @pytest.mark.parametrize("ndims", [(2, 2), (2, 1), (1, 2)], ids=["2d@2d", "2d@1d", "1d@2d"])
 @pytest.mark.parametrize("layout_b", LAYOUTS)
@@ -745,28 +750,21 @@ def test_mulmod_is_exact_in_every_layout(monkeypatch, tier, p, ndims, layout_a, 
     a, b = _laid_out(a_values, layout_a), _laid_out(b_values, layout_b)
     expected = python_product(a, b, p)
     kept = a.copy(), b.copy()
-    floated = []
-    real_floats = matrix._as_floats
-
-    def float_spy(x, dtype):
-        floated.append(np.dtype(dtype).name)
-        return real_floats(x, dtype)
-
-    monkeypatch.setattr(matrix, "_as_floats", float_spy)
+    reduced = []
+    real_reduce = matrix._reduce
+    monkeypatch.setattr(matrix, "_reduce", lambda x, q: reduced.append(x) or real_reduce(x, q))
     # the raw arrays while still writable, then each 2-D operand as a matrix
-    # over the same array (made read-only), whose float copy keeps its layout
+    # over the same array (made read-only)
     for wrap in (False, True):
         x, y = (FieldMatrix._wrap(field, z) if wrap and z.ndim == 2 else z for z in (a, b))
-        floated.clear()
         got = mulmod(x, y, p)
         assert got.dtype == np.int64
         assert got.tolist() == expected
-        assert set(floated) <= {tier}
-        assert (floated != []) == (tier != "int64")
+        assert reduced == []
         assert np.array_equal(a, kept[0]) and np.array_equal(b, kept[1])
         for m in (x, y):
             if isinstance(m, FieldMatrix):
-                assert not m.data.flags.writeable and not m._float_data().flags.writeable
+                assert not m.data.flags.writeable and holds_no_float_array(m)
 
 
 @pytest.mark.parametrize("p,m,form", [(7, 4, "standard"), (2, 8, "cyclic")], ids=["h400", "c255"])
@@ -782,20 +780,18 @@ def test_batches_of_64_through_the_transpose_match_apply(monkeypatch, p, m, form
     assert mt._factors == (t._forward, True)
     rows = np.random.default_rng(n).integers(0, p, size=(64, n))
     kept = rows.copy()
-    floated, real_floats = [], matrix._as_floats
-
-    def float_spy(x, dtype):
-        floated.append(x)
-        return real_floats(x, dtype)
-
-    monkeypatch.setattr(matrix, "_as_floats", float_spy)
+    operand = t._forward
+    built = operand.floats
+    reduced, real_reduce = [], matrix._reduce
+    monkeypatch.setattr(matrix, "_reduce", lambda x, q: reduced.append(x.shape) or real_reduce(x, q))
     product = FieldMatrix(t.field, rows) @ mt
     # only A and K go to BLAS, as the float copies the operand made when it was
-    # built: O(rN) per row, no conversion per call, and no float copy of T
-    operand = t._forward
-    assert floated == []
+    # built: O(rN) per row, no conversion per call, and no float copy of T; the
+    # one float array reduced is the batch
+    assert operand.floats is built
     assert [x.shape for x in operand.floats] == [operand.a.shape, operand.k.shape]
-    assert t.matrix._floats is None and mt._floats is None
+    assert reduced == [(n, 64)]
+    assert holds_no_float_array(t.matrix) and holds_no_float_array(mt)
     monkeypatch.undo()
     assert np.array_equal(rows, kept)
     assert product.data.dtype == np.int64

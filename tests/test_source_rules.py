@@ -51,40 +51,72 @@ def test_matrix_products_only_in_the_kernel():
 
 FLOAT_TYPES = {"float16", "float32", "float64", "float128", "half", "single", "double", "longdouble"}
 FLOAT_CODES = FLOAT_TYPES | {"float", "e", "f", "d", "g", "f2", "f4", "f8", "f16"}
+# conversion targets that are visibly not float types; any other argument to
+# astype, such as a dtype held in a variable, may be a float type
+NON_FLOAT_TYPES = {"int", "bool", "object", "int8", "int16", "int32", "int64", "intp", "uint8",
+                   "uint16", "uint32", "uint64", "bool_", "object_"}
 
 
 def _float_dtype_lines(tree: ast.AST) -> set[int]:
-    """Lines naming a float type: np.float32 and the like, or a float given to
-    astype or as a dtype= argument (float, "float32", "f4", ...)."""
+    """Lines naming a float type: np.float32 and the like, a float given as a
+    dtype= argument (float, "float32", "f4", ...), or astype to a type that is
+    not visibly an integer, bool or object type."""
     lines = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr in FLOAT_TYPES:
             lines.add(node.lineno)
         if not isinstance(node, ast.Call):
             continue
-        dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"]
-        if isinstance(node.func, ast.Attribute) and node.func.attr == "astype":
-            dtypes += node.args[:1]
-        for arg in dtypes:
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "astype" and node.args:
+            converted = node.args[0]
+            if getattr(converted, "attr", getattr(converted, "id", None)) not in NON_FLOAT_TYPES:
+                lines.add(node.lineno)
+        for arg in (kw.value for kw in node.keywords if kw.arg == "dtype"):
             name = arg.id if isinstance(arg, ast.Name) else getattr(arg, "value", None)
             if isinstance(name, str) and name in FLOAT_CODES:
                 lines.add(node.lineno)
     return lines
 
 
+# the only definitions in matrix.py that may name a float type: the tiers and
+# the factored chain that uses them, which proves its own bound
+FLOAT_DEFINITIONS = {"_FLOAT_TIERS", "Factored", "mulmod", "_reduce"}
+
+
+def _definition_lines(tree: ast.Module, names: set[str]) -> set[int]:
+    """Every line of the module-level definitions and assignments in `names`."""
+    lines = set()
+    for node in tree.body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if getattr(node, "name", None) in names or set(targets) & names:
+            lines.update(range(node.lineno, node.end_lineno + 1))
+    return lines
+
+
 def test_float_types_only_in_the_kernel_module():
-    # a float product is exact only under mulmod's bound, so float types are
-    # named in matrix.py alone, where that bound is checked
-    snippet = "a.astype(float)\nnp.zeros(3, dtype='f8')\nb = np.float32\nc.astype(np.int64)\n"
-    assert _float_dtype_lines(ast.parse(snippet)) == {1, 2, 3}
+    # a float product is exact only under the factored chain's bound, so float
+    # types are named in matrix.py alone, and there only in the tiers, the
+    # Factored operand, mulmod and _reduce
+    snippet = (
+        "a.astype(float)\nnp.zeros(3, dtype='f8')\nb = np.float32\nc.astype(np.int64)\n"
+        "d.astype(kind)\ne.astype(object, copy=False)\nf.astype('f4')\n"
+    )
+    assert _float_dtype_lines(ast.parse(snippet)) == {1, 2, 3, 5, 7}
+    defs = "X = 1\ndef f():\n    return 2\nY = (\n    3,\n)\nclass C:\n    z = 4\n"
+    assert _definition_lines(ast.parse(defs), {"Y", "C"}) == {4, 5, 6, 7, 8}
+    trees = _package_trees()
     stray = [
         f"{name}:{line}"
-        for name, tree in _package_trees().items()
+        for name, tree in trees.items()
         if name != "matrix.py"
         for line in sorted(_float_dtype_lines(tree))
     ]
     assert not stray, f"float types outside matrix.py: {stray}"
-    assert _float_dtype_lines(_package_trees()["matrix.py"])
+    kernel = trees["matrix.py"]
+    allowed = _definition_lines(kernel, FLOAT_DEFINITIONS)
+    stray = sorted(_float_dtype_lines(kernel) - allowed)
+    assert not stray, f"float types in matrix.py outside {sorted(FLOAT_DEFINITIONS)}: {stray}"
+    assert _float_dtype_lines(kernel)
 
 
 def _referenced_names(tree: ast.AST) -> set[str]:

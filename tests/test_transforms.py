@@ -42,7 +42,7 @@ from perfectnt.transforms import (
     verify_properties,
 )
 
-from helpers import python_product
+from helpers import holds_no_float_array, python_product
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -594,30 +594,19 @@ def test_apply_reads_every_input_kind_without_changing_it(build):
 @pytest.mark.parametrize("build", [b for _, b in APPLY_CASES], ids=[n for n, _ in APPLY_CASES])
 def test_products_with_the_dense_views_run_through_the_factors(monkeypatch, build):
     # rows @ view.T, view @ X and view.mat_vec equal Python-int products, and
-    # none of them converts the view to floats or multiplies by its N x N data
+    # none of them multiplies by the N x N data; no view holds a float array
     t = build()
     p, n = t.field.p, t.n
     rng = np.random.default_rng(n)
     views = (t.matrix, t.inverse_matrix)
-    operands, float_copies = [], []
-    real_floats, real_ints = matrix._as_floats, matrix._as_ints
-    real_float_data = FieldMatrix._float_data
-
-    def floats_spy(x, dtype):
-        operands.append(x)
-        return real_floats(x, dtype)
+    operands = []
+    real_ints = matrix._as_ints
 
     def ints_spy(x):
         operands.append(x)
         return real_ints(x)
 
-    def float_data_spy(self):
-        float_copies.append(self)
-        return real_float_data(self)
-
-    monkeypatch.setattr(matrix, "_as_floats", floats_spy)
     monkeypatch.setattr(matrix, "_as_ints", ints_spy)
-    monkeypatch.setattr(FieldMatrix, "_float_data", float_data_spy)
     for view, side in zip(views, (t._forward, t._inverse)):
         assert view._factors == (side, False)
         assert view.transpose()._factors == (side, True)
@@ -635,8 +624,7 @@ def test_products_with_the_dense_views_run_through_the_factors(monkeypatch, buil
         for x in operands:
             data = x.data if isinstance(x, FieldMatrix) else x
             assert not np.may_share_memory(data, dense), x.shape
-        assert not any(m._factors for m in float_copies)
-        assert view._floats is None
+        assert holds_no_float_array(view) and holds_no_float_array(view.transpose())
 
 
 def test_products_raise_no_floating_point_flag(golden):

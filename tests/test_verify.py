@@ -1,7 +1,7 @@
 import pytest
 
 from perfectnt import transforms, verify
-from perfectnt.transforms import verify_properties
+from perfectnt.transforms import check_trials, verify_properties
 from perfectnt.verify import GOLDEN_TARGETS, run_target, select_targets
 
 
@@ -64,6 +64,15 @@ def test_trials_below_one_refused(golden, trials):
         run_target(GOLDEN_TARGETS[0], trials=trials)
     with pytest.raises(ValueError, match="trials"):
         verify_properties(golden["hamming7-cyclic"], trials=trials)
+
+
+def test_trial_bound_admits_every_product_up_to_2_pow_24():
+    # the bound is on trials * N itself: 1000 trials fit every admitted length
+    for n in (7, 23, 255, 400, 16383):
+        check_trials(2**24 // n, n)
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            check_trials(2**24 // n + 1, n)
+    check_trials(1000, 16383)
 
 
 @pytest.mark.parametrize(
