@@ -15,13 +15,16 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .codes import perfect_witness
 from .matrix import (
+    FieldMatrix,
     format_matrix_json,
     format_matrix_text,
-    inverse,
     kernel_basis,
     parse_matrix,
+    rref,
 )
 from .transforms import eigen_candidates, format_transform
 from .verify import resolve, run_target, select_targets
@@ -100,13 +103,35 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _solve(matrix: FieldMatrix, text: str) -> np.ndarray:
+    """T^-1 v for the vector in `text`, from one RREF of [T | v].
+
+    A non-square T is refused first, then a singular one, even when the
+    vector is also bad, and only then a bad vector.
+    """
+    if matrix.rows != matrix.cols:
+        raise CliError(f"inverse needs a square matrix, got {matrix.shape}")
+    n = matrix.rows
+    try:
+        vec, bad_vector = _parse_vector(text, matrix.field.p, n), None
+    except CliError as exc:
+        vec, bad_vector = [0] * n, exc
+    augmented = FieldMatrix(matrix.field, np.column_stack([matrix.data, vec]))
+    reduced, _, pivots = rref(augmented)
+    if pivots[:n] != tuple(range(n)):
+        raise CliError(f"matrix is singular over {matrix.field!r} (determinant = 0)")
+    if bad_vector is not None:
+        raise bad_vector
+    return reduced.data[:, n]
+
+
 def _apply_like(args, inverted: bool) -> int:
     if args.transform:
         matrix = _load_matrix(args.transform)
         if inverted:
-            matrix = inverse(matrix)
-        vec = _parse_vector(args.vector, matrix.field.p, matrix.cols)
-        out = matrix.mat_vec(vec)
+            out = _solve(matrix, args.vector)
+        else:
+            out = matrix.mat_vec(_parse_vector(args.vector, matrix.field.p, matrix.cols))
     else:
         t = _build_transform(args)
         vec = _parse_vector(args.vector, t.field.p, t.n)

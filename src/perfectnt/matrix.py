@@ -129,9 +129,6 @@ class FieldMatrix:
     def __getitem__(self, idx):
         return self.data[idx]
 
-    def column(self, j: int) -> np.ndarray:
-        return self.data[:, j]
-
     def transpose(self) -> "FieldMatrix":
         """The transpose, a view of this matrix's int64 data.
 

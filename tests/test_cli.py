@@ -15,7 +15,13 @@ from perfectnt import reference
 from perfectnt.cli import main
 from perfectnt.codes import UnsupportedParametersError
 from perfectnt.gf import MAX_LENGTH, PrimeField
-from perfectnt.matrix import FieldMatrix, parse_matrix
+from perfectnt.matrix import (
+    FieldMatrix,
+    SingularMatrixError,
+    format_matrix_text,
+    inverse,
+    parse_matrix,
+)
 from perfectnt.transforms import verify_properties
 from perfectnt.verify import resolve, run_target, select_targets
 
@@ -428,3 +434,64 @@ def test_subcommand_required(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+SINGULAR = "7 3 3\n1 2 3\n2 4 6\n0 0 1\n"
+NON_SQUARE = "7 2 3\n1 2 3\n2 4 6\n"
+
+
+@pytest.mark.parametrize(
+    "text,vector,line",
+    [
+        (SINGULAR, "1,2,3", "error: matrix is singular over GF(7) (determinant = 0)"),
+        (NON_SQUARE, "1,2,3", "error: inverse needs a square matrix, got (2, 3)"),
+        # a singular matrix is reported before a bad vector, a non-square one
+        # before both
+        (SINGULAR, "1,2,9", "error: matrix is singular over GF(7) (determinant = 0)"),
+        (SINGULAR, "1,x", "error: matrix is singular over GF(7) (determinant = 0)"),
+        (NON_SQUARE, "1,2", "error: inverse needs a square matrix, got (2, 3)"),
+        ("7 2 2\n1 2\n3 4\n", "1,9", "error: vector entries must be residues in [0,7): offending [9]"),
+        ("7 2 2\n1 2\n3 4\n", "1", "error: expected a length-2 vector, got 1 entries"),
+    ],
+    ids=["singular", "non-square", "singular-bad-entry", "singular-bad-token",
+         "non-square-bad-vector", "bad-entry", "bad-length"],
+)
+def test_invert_file_refusals_in_order(capsys, tmp_path, text, vector, line):
+    path = tmp_path / "t.txt"
+    path.write_text(text)
+    status, out, err = run(capsys, "invert", "--transform", str(path), "--vector", vector)
+    assert (status, out, err) == (1, "", line + "\n")
+
+
+def test_invert_file_solves_against_the_dense_inverse(capsys, tmp_path):
+    # T^-1 v from one elimination of [T | v] equals the product with inverse(T)
+    rng = np.random.default_rng(21)
+    for p, n in ((7, 2), (2, 9), (5, 30)):
+        while True:
+            data = rng.integers(0, p, size=(n, n))
+            try:
+                inv = inverse(FieldMatrix(PrimeField(p), data))
+                break
+            except SingularMatrixError:
+                continue
+        path = tmp_path / f"t{p}.txt"
+        path.write_text(format_matrix_text(FieldMatrix(PrimeField(p), data)))
+        vec = rng.integers(0, p, size=n)
+        status, out, err = run(
+            capsys, "invert", "--transform", str(path), "--vector", ",".join(map(str, vec))
+        )
+        assert (status, err) == (0, "")
+        assert out == ",".join(map(str, inv.mat_vec(vec))) + "\n"
+
+
+def test_codeword_count_past_the_digit_limit_ends_all_passed(capsys):
+    # 31^990 has 1477 digits: under a 640-digit limit its decimal cannot be made
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        status, out, err = run(capsys, "verify", "--code", "hamming", "--p", "31", "--m", "3", "--trials", "1")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (status, err) == (0, "")
+    assert "CHECK codeword_invariance PASS expected=all 31^990 codewords fixed got=fixed" in out
+    assert out.endswith("verified 1 target(s), 8 checks: all passed\n")

@@ -43,7 +43,7 @@ def test_hamming_columns_are_normalized_projective_points(p, m):
     spec = hamming_parity_check(p, m)
     n = (p**m - 1) // (p - 1)
     assert spec.N == n and spec.k == n - m
-    cols = [tuple(spec.H.column(j).tolist()) for j in range(n)]
+    cols = [tuple(spec.H[:, j].tolist()) for j in range(n)]
     assert len(set(cols)) == n  # pairwise distinct
     assert cols == sorted(cols)  # ascending lexicographic
     for c in cols:

@@ -189,7 +189,7 @@ def test_shape_helpers():
     assert (m.rows, m.cols) == (2, 3)
     assert m.shape == (2, 3)
     assert m.data[1].tolist() == [0, 1, 1]
-    assert m.column(2).tolist() == [1, 1]
+    assert m[:, 2].tolist() == [1, 1]
     assert m.transpose().shape == (3, 2)
     assert m[1, 2] == 1
 

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 from functools import partial
 
@@ -222,6 +223,7 @@ def test_impulse_is_first_column(golden):
         delta = np.zeros(t.n, dtype=np.int64)
         delta[0] = 1
         assert np.array_equal(t.apply(delta), t.first_column()), t.code.label
+        assert np.array_equal(t.first_column(), t.matrix[:, 0]), t.code.label
 
 
 def test_verify_properties_all_pass(golden):
@@ -243,10 +245,11 @@ def test_verify_properties_all_pass(golden):
             assert "time_shift" not in names
 
 
-def test_property_failures_count_trials(golden):
+def test_property_failures_count_trials(golden, monkeypatch):
     # swapping two columns breaks the circulant: counts are failing trials
     # (any shift), not failing shifts, and the polynomial route reads only
-    # the first column, so it fails exactly where the images differ
+    # the first column, so it fails exactly where the images differ; the
+    # shift certificate fails, so the counts come from the sampled products
     t = golden["hamming7-cyclic"]
     m = t.matrix.data.copy()
     m[:, [2, 5]] = m[:, [5, 2]]
@@ -257,7 +260,10 @@ def test_property_failures_count_trials(golden):
     assert broken.form == "cyclic"
     assert broken.inverse_matrix == inverse(broken.matrix)
     assert broken.det == determinant(broken.matrix)
+    assert not transforms.certify_shift_invariance(broken)
+    sampled = _spy_on_sampling(monkeypatch)
     report = verify_properties(broken, trials=200, seed=3)
+    assert len(sampled) == 1
     got = {c.name: (c.passed, c.got) for c in report.checks}
     assert got == {
         "linearity": (True, "0/200 failures"),
@@ -267,6 +273,97 @@ def test_property_failures_count_trials(golden):
         "constant_sequence": (True, "match"),
         "polynomial_route": (False, "105/200 failures"),
     }
+
+
+CYCLIC_GOLDEN = ("hamming7-cyclic", "golay23-cyclic", "golay11-cyclic")
+
+
+def _spy_on_sampling(monkeypatch) -> list:
+    """Record each call of the sampled shift checks; they still run."""
+    calls, real = [], transforms.sample_shift_failures
+    monkeypatch.setattr(
+        transforms, "sample_shift_failures", lambda *args: calls.append(args) or real(*args)
+    )
+    return calls
+
+
+def _commutes_with_shift(m: FieldMatrix) -> bool:
+    """The dense reference: S*M == M*S, S the shift v -> np.roll(v, 1)."""
+    return np.array_equal(np.roll(m.data, 1, axis=0), np.roll(m.data, -1, axis=1))
+
+
+@pytest.mark.parametrize("name", CYCLIC_GOLDEN)
+def test_sampled_shift_checks_agree_with_the_certificate(golden, monkeypatch, name):
+    # the certified path makes no shifted product; the loop, called directly
+    # and through the suite, finds no failure and gives the same report
+    t = golden[name]
+    sampled = _spy_on_sampling(monkeypatch)
+    certified = verify_properties(t, trials=50, seed=8)
+    assert transforms.certify_shift_invariance(t) and sampled == []
+    vs = np.random.default_rng(8).integers(0, t.field.p, size=(50, t.n))
+    time_failed, freq_failed = transforms.sample_shift_failures(t, vs, t.apply(vs))
+    assert not time_failed.any() and not freq_failed.any()
+    monkeypatch.setattr(transforms, "certify_shift_invariance", lambda t: False)
+    assert verify_properties(t, trials=50, seed=8).lines() == certified.lines()
+    assert len(sampled) == 2
+
+
+def _doubled_inverse(t):
+    """2*T^-1 = 2*lambda'*I + 2*A'*K as the inverse side, over GF(3)."""
+    inv = t._inverse
+    return dataclasses.replace(
+        t, _inverse=matrix.Factored(2 * inv.scalar % 3, inv.a.scaled(2), inv.k)
+    )
+
+
+def _doubled_inverse_factor(t):
+    """lambda'*I + 2*A'*K as the inverse side: it still commutes with the shift."""
+    inv = t._inverse
+    return dataclasses.replace(t, _inverse=matrix.Factored(inv.scalar, inv.a.scaled(2), inv.k))
+
+
+def _inverse_over_the_identity(t):
+    """The true inverse, as lambda'*I + (T^-1 - lambda'*I)*I_N: K is not shared."""
+    inv, identity = t._inverse, FieldMatrix.identity(t.field, t.n)
+    a = t.inverse_matrix - identity.scaled(inv.scalar)
+    return dataclasses.replace(t, _inverse=matrix.Factored(inv.scalar, a, identity))
+
+
+def _k_off_its_shifts(t):
+    """T = I + A*K over GF(2), A the ones column and K = [1 1 0 ... 0].
+
+    S*A = A*R holds with R = [1], but K's row space is not shift invariant, so
+    T is not circulant.
+    """
+    k = np.zeros((1, t.n), dtype=np.int64)
+    k[0, :2] = 1
+    ones = FieldMatrix(GF2, np.ones((t.n, 1), dtype=np.int64))
+    return _finish(t.code, 1, ones, FieldMatrix(GF2, k), t.form)
+
+
+@pytest.mark.parametrize(
+    "name,broken,shift_verdicts",
+    [
+        # each case breaks one condition of the certificate and keeps the others
+        ("golay11-cyclic", _doubled_inverse, (True, False)),
+        ("golay11-cyclic", _doubled_inverse_factor, (True, False)),
+        ("hamming7-cyclic", _inverse_over_the_identity, (True, True)),
+        ("hamming7-cyclic", _k_off_its_shifts, (False, True)),
+    ],
+    ids=["lambda-product", "inverse-identity", "shared-k", "k-shift"],
+)
+def test_shift_certificate_fails_on_each_broken_identity(golden, monkeypatch, name, broken, shift_verdicts):
+    t = broken(golden[name])
+    # the dense truth: whether T commutes with the shift, and whether the
+    # inverse side inverts T
+    commutes, inverts = shift_verdicts
+    assert _commutes_with_shift(t.matrix) == commutes
+    assert (t.inverse_matrix @ t.matrix == FieldMatrix.identity(t.field, t.n)) == inverts
+    assert not transforms.certify_shift_invariance(t)
+    sampled = _spy_on_sampling(monkeypatch)
+    got = {c.name: c.passed for c in verify_properties(t, trials=30, seed=4).checks}
+    assert len(sampled) == 1
+    assert (got["time_shift"], got["frequency_shift"]) == (commutes, commutes and inverts)
 
 
 def test_check_line_format():
@@ -420,12 +517,32 @@ def test_structure_matches_dense_path(p, m):
                 ring = CyclicRing(spec.N, spec.field)
                 det, c_inv = ring.inverse(FieldPoly(tuple(t.first_column().tolist()), spec.field))
                 assert t.det == det, (p, m, lam)
-                assert tuple(t.inverse_matrix.column(0).tolist()) == ring.to_vector(c_inv)
+                assert tuple(t.inverse_matrix[:, 0].tolist()) == ring.to_vector(c_inv)
             vs = rng.integers(0, p, size=(4, spec.N))
             for route, dense_t in ((t.apply, t.matrix), (t.apply_inverse, t.inverse_matrix)):
                 want = np.array([dense_t.mat_vec(v) for v in vs])
                 assert np.array_equal(route(vs), want), (p, m, form, lam)
                 assert all(np.array_equal(route(v), w) for v, w in zip(vs, want))
+
+
+def test_shift_certificate_holds_on_every_cyclic_build(golden):
+    # the golden cyclic targets and every cyclic Hamming code with N <= 255
+    # that builds, at lambda = 1 and p - 1; the dense views confirm the verdict
+    built = [golden[name] for name in CYCLIC_GOLDEN]
+    for p, m in (pm for pm in HAMMING_UP_TO_400 if (pm[0] ** pm[1] - 1) // (pm[0] - 1) <= 255):
+        try:
+            spec = cyclic_hamming_spec(p, m)
+        except UnsupportedParametersError:
+            continue
+        for lam in sorted({1, p - 1}):
+            try:
+                built.append(build_cyclic(spec, lam))
+            except EigenvalueUnsuitableError:
+                continue
+    assert len(built) == 17
+    for t in built:
+        assert transforms.certify_shift_invariance(t), t
+        assert _commutes_with_shift(t.matrix) and _commutes_with_shift(t.inverse_matrix), t
 
 
 # each parameter: (form, code constructor) pairs

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from perfectnt import transforms, verify
@@ -87,3 +89,35 @@ def test_run_target_computes_the_eigenspace_once(monkeypatch, target):
         monkeypatch.setattr(module, "eigenspace", lambda t, *a, real=real: calls.append(t) or real(t, *a))
     run_target(target, trials=3, seed=1)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "target", [t for t in GOLDEN_TARGETS if t.form == "cyclic"], ids=lambda t: t.name
+)
+def test_inverse_is_circulant_by_certificate_or_dense_fallback(monkeypatch, target):
+    # the certified run forms no dense circulant; with the certificate failing,
+    # the dense comparison and the sampled shift checks give the same lines
+    def refuse(*args):
+        raise AssertionError("dense circulant comparison on the certified path")
+
+    monkeypatch.setattr(verify, "circulant_from_first_row", refuse)
+    certified = run_target(target, trials=5, seed=2)
+    monkeypatch.undo()
+    for module in (transforms, verify):
+        monkeypatch.setattr(module, "certify_shift_invariance", lambda t: False)
+    assert run_target(target, trials=5, seed=2) == certified
+    assert ("inverse_is_circulant", True) in {(c.name, c.passed) for c in certified[1]}
+
+
+def test_codeword_count_is_written_as_a_power_past_the_digit_limit():
+    # a decimal longer than the interpreter converts is written p^k; a decimal
+    # of exactly the limit's length is still written out
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert verify._power_text(10, 639) == "1" + "0" * 639
+        assert verify._power_text(10, 640) == "10^640"
+        assert verify._power_text(31, 990) == "31^990"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert verify._power_text(2, 4) == "16"
