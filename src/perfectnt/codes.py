@@ -89,17 +89,22 @@ def hamming_parity_check(p: int, m: int) -> CodeSpec:
     GF(p)^m \\ {0} (first nonzero coordinate scaled to 1), listed in
     ascending lexicographic order. N = (p^m - 1)/(p - 1), k = N - m,
     d = 3.
+
+    They are written directly, in O(mN): one block per leading-1 position i,
+    from i = m-1 down to 0, whose columns are (0, ..., 0, 1, digits), the
+    digits running through the base-p forms of 0, 1, ..., p^(m-1-i) - 1.
     """
     field = PrimeField(p)
     n = _hamming_length(p, m)
-    cols = [
-        c
-        for c in product(range(p), repeat=m)
-        if any(c) and next(v for v in c if v) == 1
-    ]
-    cols.sort()
-    assert len(cols) == n
-    h_matrix = FieldMatrix(field, np.array(cols, dtype=np.int64).T)
+    data = np.zeros((m, n), dtype=np.int64)
+    start = 0
+    for width in range(m):  # the block whose leading 1 is in row m-1-width
+        block = slice(start, start + p**width)
+        data[m - 1 - width, block] = 1
+        place_values = p ** np.arange(width - 1, -1, -1)
+        data[m - width :, block] = np.arange(p**width) // place_values[:, None] % p
+        start += p**width
+    h_matrix = FieldMatrix(field, data)
     k = n - m
     return CodeSpec(field, n, k, 3, h_matrix, None, f"hamming({n},{k},3)")
 

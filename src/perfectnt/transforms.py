@@ -24,6 +24,12 @@ same form. Each side is one matrix.Factored operand, which resolves its float
 tier and float copies of A and K once, at build. apply computes lambda*v +
 A*(K*v), O(rN) per vector with r close to log_p N for Hamming codes: a fast
 Hamming NTT for every inflation. An int64 array given to apply is not copied.
+
+The eigenspace comes from the same factors. T - lambda*I = A*K, with A's rows
+past m zero, maps v to zero exactly when K*v lies in ker A, and ker A = ker R
+for R the nonzero rows of rref(A), row operations keeping the kernel. So
+ker(T - lambda*I) = ker(R*K), for any A and any rank: eigenspace eliminates
+the (rank A) x N product R*K, and no N x N matrix is formed.
 """
 
 from __future__ import annotations
@@ -262,11 +268,18 @@ def eigen_candidates(
     return table
 
 
-def eigenspace(t: TransformSpec, lam: int | None = None) -> FieldMatrix:
-    """Canonical basis of ker(T - lambda*I); defaults to the built lambda."""
-    lam = t.lam if lam is None else lam % t.field.p
-    shifted = t.matrix - FieldMatrix.identity(t.field, t.n).scaled(lam)
-    return kernel_basis(shifted)
+def eigenspace(t: TransformSpec) -> FieldMatrix:
+    """Canonical basis of ker(T - lambda*I) at the built lambda, from A and K.
+
+    T - lambda*I = A*K with A's rows past m zero, so v is in the kernel
+    exactly when K*v is in ker A. ker A = ker R, R the nonzero rows of
+    rref(A), since row operations keep the kernel. Hence ker(T - lambda*I) =
+    ker(R*K), for every A, whatever its rank: one (rank A) x N product and
+    one elimination, with no N x N object.
+    """
+    f = t._forward
+    reduced, rank, _ = rref(f.a)
+    return kernel_basis(FieldMatrix(t.field, mulmod(reduced[:rank], f.k, f.p)))
 
 
 def is_perfect_transform(t: TransformSpec) -> tuple[bool, int | None, int]:

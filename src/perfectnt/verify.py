@@ -206,7 +206,9 @@ def run_target(
 
     Returns (summary line, check results). The summary always contains
     "det≠0" when the determinant is nonzero, and "order=<e>" when the
-    multiplicative order was computed for this target.
+    multiplicative order was computed for this target. Only the stored
+    claims, and the inverse_is_circulant fallback when the shift certificate
+    fails, read the dense views t.matrix and t.inverse_matrix.
     """
     t = target.build()
     check_trials(trials, t.n)

@@ -4,11 +4,14 @@ Each function is a direct, slow route to a fact the package computes
 another way, so the tests can compare the two.
 """
 
+from itertools import product
+
 import numpy as np
 
 from perfectnt.codes import CodeSpec, all_codewords
+from perfectnt.gf import ModulusMismatchError
 from perfectnt.matrix import FieldMatrix, kernel_basis, rref
-from perfectnt.poly import FieldPoly
+from perfectnt.poly import CyclicRing, FieldPoly
 
 
 def poly_gcd(a: FieldPoly, b: FieldPoly) -> FieldPoly:
@@ -65,3 +68,44 @@ def holds_no_float_array(m: FieldMatrix) -> bool:
     """No slot of `m` holds a float array: a FieldMatrix keeps int64 data only."""
     values = (getattr(m, name) for name in FieldMatrix.__slots__)
     return not any(isinstance(v, np.ndarray) and v.dtype.kind == "f" for v in values)
+
+
+def hamming_columns(p: int, m: int) -> np.ndarray:
+    """The m x N Hamming parity check by enumeration: every nonzero vector of
+    GF(p)^m whose first nonzero entry is 1, in ascending lexicographic order."""
+    cols = [c for c in product(range(p), repeat=m) if any(c) and next(v for v in c if v) == 1]
+    cols.sort()
+    return np.array(cols, dtype=np.int64).T
+
+
+def dense_eigenspace(t) -> FieldMatrix:
+    """Canonical basis of ker(T - lambda*I), eliminated from the dense view."""
+    return kernel_basis(t.matrix - FieldMatrix.identity(t.field, t.n).scaled(t.lam))
+
+
+def ring_inverse(ring: CyclicRing, c: FieldPoly) -> tuple[int, FieldPoly | None]:
+    """(Res(x^n - 1, c), c^-1 or None) from one Euclidean remainder sequence.
+
+    The resultant is the determinant of the circulant whose first column is
+    c; it is nonzero iff gcd(c, x^n - 1) = 1, and then c^-1 is c's Bezout
+    coefficient. Each step a = q*b + r uses Res(a, b) = (-1)^(deg a deg b)
+    lc(b)^(deg a - deg r) Res(b, r), and Res(a, b0) = b0^(deg a).
+    """
+    if c.field != ring.field:
+        raise ModulusMismatchError("polynomial field does not match ring field")
+    p = ring.field.p
+    a, b = FieldPoly.monomial(ring.field, ring.n) - FieldPoly.one(ring.field), c
+    # s_a * c = a and s_b * c = b modulo x^n - 1
+    s_a, s_b = FieldPoly.zero(ring.field), FieldPoly.one(ring.field)
+    res = 1
+    while b.degree > 0:
+        q, r = divmod(a, b)
+        if r.is_zero():
+            return 0, None
+        sign = -1 if a.degree * b.degree % 2 else 1
+        res = res * sign * pow(b.coeffs[-1], a.degree - r.degree, p) % p
+        a, b, s_a, s_b = b, r, s_b, s_a - q * s_b
+    if b.is_zero():
+        return 0, None
+    b0 = b.coeffs[0]
+    return res * pow(b0, a.degree, p) % p, s_b.scaled(pow(b0, -1, p))

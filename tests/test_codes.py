@@ -18,11 +18,11 @@ from perfectnt.codes import (
     shortened_hamming_6_3,
     sphere_packing_sum,
 )
-from perfectnt.gf import MAX_LENGTH, PrimeField
+from perfectnt.gf import MAX_LENGTH, PrimeField, is_prime
 from perfectnt.matrix import FieldMatrix, circulant_from_first_row, kernel_basis, rref
 from perfectnt.poly import FieldPoly, reversed_coefficient_row
 
-from helpers import generator_from_parity, minimum_distance
+from helpers import generator_from_parity, hamming_columns, minimum_distance
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -48,6 +48,20 @@ def test_hamming_columns_are_normalized_projective_points(p, m):
     assert cols == sorted(cols)  # ascending lexicographic
     for c in cols:
         assert next(v for v in c if v) == 1  # first nonzero entry normalized
+
+
+@pytest.mark.parametrize(
+    "p,m",
+    [
+        (p, m)
+        for p in range(2, 200)
+        if is_prime(p)
+        for m in range(2, 8)
+        if (p**m - 1) // (p - 1) <= 200
+    ],
+)
+def test_hamming_columns_match_the_enumeration(p, m):
+    assert np.array_equal(hamming_parity_check(p, m).H.data, hamming_columns(p, m))
 
 
 def test_hamming_rejects_bad_parameters():

@@ -127,11 +127,13 @@ def _referenced_names(tree: ast.AST) -> set[str]:
     }
 
 
-def _trace_targets():
+def _trace_targets() -> set[tuple[str, str]]:
+    """The benchmark's trace targets by qualified name: (module file, function
+    or Class.method), e.g. ("matrix.py", "inverse") or ("poly.py", "CyclicRing.mul")."""
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return [path for _, _, path, _, _ in tracing.TARGETS]
+    return {(f"{module.rsplit('.', 1)[1]}.py", path) for _, module, path, _, _ in tracing.TARGETS}
 
 
 def _package_trees() -> dict[str, ast.Module]:
@@ -143,9 +145,10 @@ def _package_trees() -> dict[str, ast.Module]:
 
 def test_every_module_function_has_a_caller_outside_the_tests():
     # a module-level function that nothing in the package, the export list, the
-    # benchmark's trace targets or the console script names is test-only code
-    external = {path.split(".")[0] for path in _trace_targets()}
-    external |= set(perfectnt.__all__)
+    # benchmark's trace targets (module and function) or the console script
+    # names is test-only code
+    traced = _trace_targets()
+    external = set(perfectnt.__all__)
     scripts = (ROOT / "pyproject.toml").read_text(encoding="utf-8").split("[project.scripts]")[1]
     external |= set(re.findall(r':(\w+)"', scripts.split("\n[")[0]))
 
@@ -155,6 +158,8 @@ def test_every_module_function_has_a_caller_outside_the_tests():
         elsewhere = set().union(*(_referenced_names(t) for n, t in trees.items() if n != name))
         for node in tree.body:
             if not isinstance(node, ast.FunctionDef) or node.name in external | elsewhere:
+                continue
+            if (name, node.name) in traced:
                 continue
             rest = ast.Module(body=[n for n in tree.body if n is not node], type_ignores=[])
             if node.name not in _referenced_names(rest):
@@ -168,12 +173,12 @@ def _attribute_reads(tree: ast.AST) -> Counter:
 
 def test_every_method_has_a_caller_outside_the_tests():
     # a method is called when the package reads its name as an attribute outside
-    # its own body, when the benchmark traces it, or when the README quick start
-    # reads it; dunders are called by the language itself
-    external = {path.split(".")[-1] for path in _trace_targets()}
+    # its own body, when the benchmark traces it as Class.method, or when the
+    # README quick start reads it; dunders are called by the language itself
+    traced = _trace_targets()
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     quick_start = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
-    external |= set(_attribute_reads(ast.parse(quick_start)))
+    external = set(_attribute_reads(ast.parse(quick_start)))
 
     trees = _package_trees()
     reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
@@ -184,7 +189,8 @@ def test_every_method_has_a_caller_outside_the_tests():
                 if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
                     continue
                 outside = reads[node.name] - _attribute_reads(node)[node.name]
-                if node.name not in external and outside <= 0:
+                is_traced = (name, f"{cls.name}.{node.name}") in traced
+                if not is_traced and node.name not in external and outside <= 0:
                     unused.append(f"{name}:{cls.name}.{node.name}")
     assert not unused, f"methods without a caller outside the tests: {unused}"
 

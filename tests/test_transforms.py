@@ -43,7 +43,7 @@ from perfectnt.transforms import (
     verify_properties,
 )
 
-from helpers import holds_no_float_array, python_product
+from helpers import dense_eigenspace, holds_no_float_array, python_product, ring_inverse
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -155,12 +155,17 @@ def test_eigenspace_is_code_kernel(golden):
         assert eigenspace(t) == kernel_basis(t.code.H), t.code.label
 
 
-def test_eigenspace_other_lambda():
-    # for T = H_e + I over GF(3), the 2-eigenspace is ker(H_e - I)
-    t = build_standard(golay_spec("ternary_systematic"), 1)
-    es2 = eigenspace(t, 2)
-    shifted = t.matrix - FieldMatrix.identity(GF3, 11).scaled(2)
-    assert es2 == kernel_basis(shifted)
+def test_eigenspace_of_a_rank_deficient_factor():
+    # A = I_3 with column 1 zeroed and A[2, 0] = 1 has rank 2, so T - I = A*H
+    # has rank 2: the 1-eigenspace is the code and one vector more, ker(R*K)
+    code = hamming_parity_check(3, 3)
+    a = np.eye(3, dtype=np.int64)
+    a[:, 1] = 0
+    a[2, 0] = 1
+    t = _finish(code, 1, FieldMatrix(GF3, a), code.H, transforms.FORM_STANDARD_NULLROW)
+    es = eigenspace(t)
+    assert es.rows == code.k + 1
+    assert es == dense_eigenspace(t)
 
 
 def test_perfectness_verdicts(golden):
@@ -515,7 +520,7 @@ def test_structure_matches_dense_path(p, m):
             if form == "cyclic":
                 # the ring route: det T = Res(x^N - 1, c), and T^-1's first column is c^-1
                 ring = CyclicRing(spec.N, spec.field)
-                det, c_inv = ring.inverse(FieldPoly(tuple(t.first_column().tolist()), spec.field))
+                det, c_inv = ring_inverse(ring, FieldPoly(tuple(t.first_column().tolist()), spec.field))
                 assert t.det == det, (p, m, lam)
                 assert tuple(t.inverse_matrix[:, 0].tolist()) == ring.to_vector(c_inv)
             vs = rng.integers(0, p, size=(4, spec.N))
@@ -525,10 +530,9 @@ def test_structure_matches_dense_path(p, m):
                 assert all(np.array_equal(route(v), w) for v, w in zip(vs, want))
 
 
-def test_shift_certificate_holds_on_every_cyclic_build(golden):
-    # the golden cyclic targets and every cyclic Hamming code with N <= 255
-    # that builds, at lambda = 1 and p - 1; the dense views confirm the verdict
-    built = [golden[name] for name in CYCLIC_GOLDEN]
+def _cyclic_hamming_builds():
+    """Every cyclic Hamming transform with N <= 255 that builds, at lambda = 1 and p - 1."""
+    built = []
     for p, m in (pm for pm in HAMMING_UP_TO_400 if (pm[0] ** pm[1] - 1) // (pm[0] - 1) <= 255):
         try:
             spec = cyclic_hamming_spec(p, m)
@@ -539,6 +543,13 @@ def test_shift_certificate_holds_on_every_cyclic_build(golden):
                 built.append(build_cyclic(spec, lam))
             except EigenvalueUnsuitableError:
                 continue
+    return built
+
+
+def test_shift_certificate_holds_on_every_cyclic_build(golden):
+    # the golden cyclic targets and every cyclic Hamming build with N <= 255;
+    # the dense views confirm the verdict
+    built = [golden[name] for name in CYCLIC_GOLDEN] + _cyclic_hamming_builds()
     assert len(built) == 17
     for t in built:
         assert transforms.certify_shift_invariance(t), t
@@ -622,6 +633,15 @@ APPLY_CASES = [
     ("lambda0-k0", lambda: build_standard(
         CodeSpec(GF3, 2, 0, None, FieldMatrix(GF3, [[2, 1], [1, 0]]), None, "zero"), 0)),
 ]
+
+
+def test_eigenspace_from_the_factors_matches_the_dense_reference(golden):
+    # ker(R*K), R the nonzero rows of rref(A), against the elimination of the
+    # dense T - lambda*I, on every golden target, the appendix builds with
+    # r <= k and r > k, and every cyclic Hamming build with N <= 255
+    appendix = [build() for name, build in APPLY_CASES if name.startswith("appendix")]
+    for t in [*golden.values(), *appendix, *_cyclic_hamming_builds()]:
+        assert eigenspace(t) == dense_eigenspace(t), t
 
 
 @pytest.mark.parametrize("build", [b for _, b in APPLY_CASES], ids=[n for n, _ in APPLY_CASES])

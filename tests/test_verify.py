@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from perfectnt import transforms, verify
+from perfectnt import matrix, transforms, verify
 from perfectnt.transforms import check_trials, verify_properties
 from perfectnt.verify import GOLDEN_TARGETS, run_target, select_targets
 
@@ -107,6 +107,22 @@ def test_inverse_is_circulant_by_certificate_or_dense_fallback(monkeypatch, targ
         monkeypatch.setattr(module, "certify_shift_invariance", lambda t: False)
     assert run_target(target, trials=5, seed=2) == certified
     assert ("inverse_is_circulant", True) in {(c.name, c.passed) for c in certified[1]}
+
+
+@pytest.mark.parametrize(
+    "p,m,form", [(2, 4, "standard"), (2, 4, "cyclic"), (3, 4, "standard"), (3, 5, "cyclic")]
+)
+def test_dynamic_targets_form_no_dense_view(monkeypatch, p, m, form):
+    # a target without stored claims is checked from the factors alone: no
+    # check reads t.matrix or t.inverse_matrix
+    def refuse(operand):
+        raise AssertionError("dense N x N view formed")
+
+    monkeypatch.setattr(matrix.Factored, "dense", property(refuse))
+    [target] = select_targets("hamming", p, m, form)
+    assert not target.claims
+    _, checks = run_target(target, trials=3, seed=1)
+    assert all(check.passed for check in checks)
 
 
 def test_codeword_count_is_written_as_a_power_past_the_digit_limit():
