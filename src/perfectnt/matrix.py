@@ -108,10 +108,6 @@ class FieldMatrix:
     def identity(cls, field: PrimeField, n: int) -> "FieldMatrix":
         return cls(field, np.eye(n, dtype=np.int64))
 
-    @classmethod
-    def zeros(cls, field: PrimeField, rows: int, cols: int) -> "FieldMatrix":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
-
     # -- shape and access -------------------------------------------------
 
     @property
@@ -216,20 +212,17 @@ class Factored:
             floats.setflags(write=False)
 
     @cached_property
-    def top(self) -> FieldMatrix:
-        """The first m rows: A*K + scalar*[I_m | 0]."""
-        rows = mulmod(self.a, self.k, self.p)
-        d = np.arange(self.a.rows)
-        rows[d, d] = (rows[d, d] + self.scalar) % self.p
-        return FieldMatrix(self.k.field, rows)
-
-    @cached_property
     def dense(self) -> FieldMatrix:
-        """The N x N matrix; it keeps this operand, and mulmod multiplies through it."""
-        m, n = self.top.shape
-        data = self.top.data
+        """The N x N matrix scalar*I + A*K, A's rows past m zero.
+
+        It keeps this operand, and mulmod multiplies through it.
+        """
+        data = mulmod(self.a, self.k, self.p)
+        m, n = data.shape
         if m < n:
-            data = np.vstack([data, self.scalar * np.eye(n - m, n, m, dtype=np.int64)])
+            data = np.vstack([data, np.zeros((n - m, n), dtype=np.int64)])
+        d = np.arange(n)
+        data[d, d] = (data[d, d] + self.scalar) % self.p
         return FieldMatrix._wrap(self.k.field, data, factors=(self, False))
 
 
@@ -418,9 +411,11 @@ def kernel_basis(m: FieldMatrix) -> FieldMatrix:
     reduced, rk, pivots = rref(FieldMatrix._wrap(m.field, m.data[:, ::-1]))
     free = np.delete(np.arange(m.cols), list(pivots))
     basis = np.zeros((free.size, m.cols), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, list(pivots)] = -reduced.data[:rk, free].T % m.field.p
-    return FieldMatrix._wrap(m.field, np.ascontiguousarray(basis[::-1, ::-1]))
+    # filled through its reversed view, so the result takes no reversing copy
+    reversed_view = basis[::-1, ::-1]
+    reversed_view[np.arange(free.size), free] = 1
+    reversed_view[:, list(pivots)] = -reduced.data[:rk, free].T % m.field.p
+    return FieldMatrix._wrap(m.field, basis)
 
 
 def determinant(m: FieldMatrix) -> int:

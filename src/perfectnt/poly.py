@@ -105,9 +105,6 @@ class FieldPoly:
                 acc[i + j] = (acc[i + j] + a * b) % p
         return FieldPoly(tuple(acc), self.field)
 
-    def scaled(self, c: int) -> "FieldPoly":
-        return FieldPoly(tuple(c * a for a in self.coeffs), self.field)
-
     def __pow__(self, e: int) -> "FieldPoly":
         if e < 0:
             raise ValueError("exponent must be nonnegative")
@@ -191,15 +188,6 @@ class CyclicRing:
         if self.n < 1:
             raise ValueError("ring length must be at least 1")
 
-    def reduce(self, poly: FieldPoly) -> FieldPoly:
-        """Fold exponents mod n."""
-        if poly.field != self.field:
-            raise ModulusMismatchError("polynomial field does not match ring field")
-        acc = [0] * self.n
-        for i, c in enumerate(poly.coeffs):
-            acc[i % self.n] = (acc[i % self.n] + c) % self.field.p
-        return FieldPoly(tuple(acc), self.field)
-
     def mul(self, a: FieldPoly, b: FieldPoly) -> FieldPoly:
         """Product with exponents folded mod n.
 
@@ -218,9 +206,3 @@ class CyclicRing:
                 k = (i + j) % self.n
                 acc[k] = (acc[k] + x * y) % p
         return FieldPoly(tuple(acc), self.field)
-
-    def to_vector(self, poly: FieldPoly) -> tuple[int, ...]:
-        """The length-n coefficient vector of a ring element (degree < n)."""
-        if poly.degree >= self.n:
-            raise ValueError(f"polynomial of degree {poly.degree} does not fit in length {self.n}")
-        return poly.coeffs + (0,) * (self.n - len(poly.coeffs))

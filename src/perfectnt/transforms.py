@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .codes import CodeSpec, perfect_witness
+from .codes import CodeSpec, parity_rows_from_check_poly, perfect_witness
 from .gf import PrimeField
 from .matrix import (
     Factored,
@@ -53,7 +53,6 @@ from .matrix import (
     mulmod,
     rref,
 )
-from .poly import CyclicRing, FieldPoly
 
 FORM_STANDARD_NULLROW = "standard_nullrow"
 FORM_STANDARD_COMBO = "standard_combo"
@@ -158,7 +157,7 @@ def _finish(code: CodeSpec, lam: int, a: FieldMatrix, k: FieldMatrix, form: str)
         raise EigenvalueUnsuitableError(lam, code.label)
     forward = Factored(lam, a, k)
     if lam == 0:
-        backward = Factored(0, inverse(forward.top), FieldMatrix.identity(field, n))
+        backward = Factored(0, inverse(forward.dense), FieldMatrix.identity(field, n))
     else:
         lam_inv = pow(lam, -1, p)
         a_inv = mulmod(a, inverse(core), p) * (p - lam_inv) % p
@@ -182,24 +181,24 @@ def build_standard(code: CodeSpec, lam: int) -> TransformSpec:
 def build_cyclic(code: CodeSpec, lam: int) -> TransformSpec:
     """Transform whose H_e is the full circulant of the check polynomial.
 
-    T is multiplication by c(x) = lambda + x^(N-k) h(x) mod x^N - 1, so
-    H_e[i, j] = column[(i - j) % N], column the coefficients of x^(N-k) h(x).
-    H_e has rank N-k, and its first N-k rows are independent (triangular,
-    h's leading coefficient on the diagonal), so they span its rows. K is
-    their reduced row echelon form R; with S its pivot columns R[:, S] = I,
-    so H_e = H_e[:, S] R and A = H_e[:, S].
+    T is multiplication by lambda + x^(N-k) h(x) mod x^N - 1. H_e is laid out
+    from the code's parity rows, parity_rows_from_check_poly(h, N): row i is
+    their row 0 shifted right by i, so H_e[i, j] = row0[(j - i) % N] and its
+    first N-k rows are the parity rows. H_e has rank N-k, and those rows are
+    independent (triangular, h's leading coefficient on the diagonal), so they
+    span its rows. K is their reduced row echelon form R; with S its pivot
+    columns R[:, S] = I, so H_e = H_e[:, S] R and A = H_e[:, S], whose entry
+    (i, s) is row0[(s - i) % N].
     """
     if code.h is None:
         raise ValueError(
             f"{code.label} has no check polynomial; cyclic inflation undefined"
         )
-    field, n, r = code.field, code.N, code.redundancy
-    ring = CyclicRing(n, field)
-    column = np.array(ring.to_vector(ring.reduce(FieldPoly.monomial(field, r) * code.h)))
-    first_rows = column[(np.arange(r)[:, None] - np.arange(n)) % n]
-    reduced, _, pivots = rref(FieldMatrix(field, first_rows))
-    a = column[(np.arange(n)[:, None] - np.array(pivots)) % n]
-    return _finish(code, lam, FieldMatrix(field, a), reduced, FORM_CYCLIC)
+    n = code.N
+    first_rows = parity_rows_from_check_poly(code.h, n)
+    reduced, _, pivots = rref(first_rows)
+    a = first_rows.data[0][(np.array(pivots) - np.arange(n)[:, None]) % n]
+    return _finish(code, lam, FieldMatrix(code.field, a), reduced, FORM_CYCLIC)
 
 
 def build_extended_golay(code: CodeSpec, lam: int) -> TransformSpec:

@@ -14,11 +14,24 @@ from perfectnt.matrix import FieldMatrix, kernel_basis, rref
 from perfectnt.poly import CyclicRing, FieldPoly
 
 
+def poly_scaled(a: FieldPoly, c: int) -> FieldPoly:
+    """c * a, coefficient by coefficient."""
+    return FieldPoly(tuple(c * x for x in a.coeffs), a.field)
+
+
 def poly_gcd(a: FieldPoly, b: FieldPoly) -> FieldPoly:
     """Monic greatest common divisor by the Euclidean algorithm."""
     while not b.is_zero():
         a, b = b, a % b
-    return a if a.is_zero() else a.scaled(a.field.inv(a.coeffs[-1]))
+    return a if a.is_zero() else poly_scaled(a, a.field.inv(a.coeffs[-1]))
+
+
+def ring_reduce(ring: CyclicRing, poly: FieldPoly) -> FieldPoly:
+    """poly in GF(p)[x]/(x^n - 1): its exponents folded mod n."""
+    acc = [0] * ring.n
+    for i, c in enumerate(poly.coeffs):
+        acc[i % ring.n] = (acc[i % ring.n] + c) % ring.field.p
+    return FieldPoly(tuple(acc), ring.field)
 
 
 def kernel_basis_two_eliminations(m: FieldMatrix) -> FieldMatrix:
@@ -27,7 +40,7 @@ def kernel_basis_two_eliminations(m: FieldMatrix) -> FieldMatrix:
     reduced, rk, pivots = rref(m)
     free = np.delete(np.arange(m.cols), list(pivots))
     if not free.size:
-        return FieldMatrix.zeros(m.field, 0, m.cols)
+        return FieldMatrix(m.field, np.zeros((0, m.cols), dtype=np.int64))
     basis = np.zeros((free.size, m.cols), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, list(pivots)] = -reduced.data[:rk, free].T % m.field.p
@@ -78,6 +91,18 @@ def hamming_columns(p: int, m: int) -> np.ndarray:
     return np.array(cols, dtype=np.int64).T
 
 
+def cyclic_factors_from_the_product(spec: CodeSpec) -> tuple[np.ndarray, FieldMatrix]:
+    """A and K of the cyclic build by the column route: H_e[i, j] = c[(i - j) % N],
+    c the coefficients of x^r h(x) folded mod x^N - 1, K the RREF of H_e's
+    first r rows and A = H_e[:, S] for its pivot columns S."""
+    field, n, r = spec.field, spec.N, spec.redundancy
+    coeffs = ring_reduce(CyclicRing(n, field), FieldPoly.monomial(field, r) * spec.h).coeffs
+    column = np.array(coeffs + (0,) * (n - len(coeffs)), dtype=np.int64)
+    first_rows = column[(np.arange(r)[:, None] - np.arange(n)) % n]
+    reduced, _, pivots = rref(FieldMatrix(field, first_rows))
+    return column[(np.arange(n)[:, None] - np.array(pivots)) % n], reduced
+
+
 def dense_eigenspace(t) -> FieldMatrix:
     """Canonical basis of ker(T - lambda*I), eliminated from the dense view."""
     return kernel_basis(t.matrix - FieldMatrix.identity(t.field, t.n).scaled(t.lam))
@@ -108,4 +133,4 @@ def ring_inverse(ring: CyclicRing, c: FieldPoly) -> tuple[int, FieldPoly | None]
     if b.is_zero():
         return 0, None
     b0 = b.coeffs[0]
-    return res * pow(b0, a.degree, p) % p, s_b.scaled(pow(b0, -1, p))
+    return res * pow(b0, a.degree, p) % p, poly_scaled(s_b, pow(b0, -1, p))

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from perfectnt.gf import MAX_MODULUS, ModulusMismatchError, PrimeField, is_prime
 from perfectnt.matrix import FieldMatrix
-from perfectnt.poly import CyclicRing, FieldPoly
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 LARGEST_PRIME = 2_097_143  # the largest prime below MAX_MODULUS
@@ -40,8 +39,6 @@ def test_mixed_moduli_rejected():
     f5, f7 = PrimeField(5), PrimeField(7)
     with pytest.raises(ModulusMismatchError):
         _ = FieldMatrix(f5, [[2]]) @ FieldMatrix(f7, [[2]])
-    with pytest.raises(ModulusMismatchError):
-        CyclicRing(3, f5).reduce(FieldPoly((1, 2), f7))
 
 
 @given(st.sampled_from(PRIMES), st.integers(-100, 100))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import time
 from functools import partial
 
@@ -15,6 +16,7 @@ from perfectnt.codes import (
     golay_spec,
     hamming74_systematic,
     hamming_parity_check,
+    parity_rows_from_check_poly,
     shortened_hamming_6_3,
 )
 from perfectnt.gf import PrimeField, is_prime
@@ -43,7 +45,13 @@ from perfectnt.transforms import (
     verify_properties,
 )
 
-from helpers import dense_eigenspace, holds_no_float_array, python_product, ring_inverse
+from helpers import (
+    cyclic_factors_from_the_product,
+    dense_eigenspace,
+    holds_no_float_array,
+    python_product,
+    ring_inverse,
+)
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -209,7 +217,7 @@ def test_apply_via_polynomial_agrees(golden):
         assert out.shape == (25, t.n), name
         for v, row in zip(batch, out):
             product = ring.mul(FieldPoly(tuple(v.tolist()), t.field), column)
-            assert tuple(row.tolist()) == ring.to_vector(product), name
+            assert FieldPoly(tuple(row.tolist()), t.field) == product, name
             assert np.array_equal(row, t.apply(v)), name
     with pytest.raises(ValueError):
         apply_via_polynomial(golden["hamming74"], [0] * 7)
@@ -482,6 +490,35 @@ HAMMING_UP_TO_400 = [
 ]
 
 
+# every cyclic Hamming code up to N = 2047; cyclic_hamming_spec needs gcd(m, p - 1) = 1
+CYCLIC_HAMMING_UP_TO_2047 = [
+    (p, m)
+    for p in range(2, 2048)
+    if is_prime(p)
+    for m in range(2, 12)
+    if (p**m - 1) // (p - 1) <= 2047 and math.gcd(m, p - 1) == 1
+]
+
+
+@pytest.mark.parametrize(
+    "make_spec",
+    [partial(golay_spec, "binary"), partial(golay_spec, "ternary")]
+    + [partial(cyclic_hamming_spec, p, m) for p, m in CYCLIC_HAMMING_UP_TO_2047],
+    ids=lambda make: "-".join(map(str, make.args)),
+)
+def test_cyclic_factors_match_the_product_route(make_spec, monkeypatch):
+    # build_cyclic lays out H_e from the parity rows; the column route folds
+    # x^r h(x) mod x^N - 1. A and K do not depend on lambda, so they are read
+    # off at _finish, also where lambda = 1 is singular (p = 2, m = 11)
+    spec = make_spec()
+    assert parity_rows_from_check_poly(spec.h, spec.N) == spec.H
+    monkeypatch.setattr(transforms, "_finish", lambda code, lam, a, k, form: (a, k))
+    a, k = build_cyclic(spec, 1)
+    want_a, want_k = cyclic_factors_from_the_product(spec)
+    assert k == want_k
+    assert np.array_equal(a.data, want_a)
+
+
 def _dense_reference(spec, form, lam):
     """T = H_e + lambda*I assembled densely, without the structured builders."""
     if form == "cyclic":
@@ -522,7 +559,7 @@ def test_structure_matches_dense_path(p, m):
                 ring = CyclicRing(spec.N, spec.field)
                 det, c_inv = ring_inverse(ring, FieldPoly(tuple(t.first_column().tolist()), spec.field))
                 assert t.det == det, (p, m, lam)
-                assert tuple(t.inverse_matrix[:, 0].tolist()) == ring.to_vector(c_inv)
+                assert FieldPoly(tuple(t.inverse_matrix[:, 0].tolist()), spec.field) == c_inv
             vs = rng.integers(0, p, size=(4, spec.N))
             for route, dense_t in ((t.apply, t.matrix), (t.apply_inverse, t.inverse_matrix)):
                 want = np.array([dense_t.mat_vec(v) for v in vs])
@@ -812,9 +849,9 @@ def test_cyclic_1023_builds_and_2047_is_refused_quickly():
     assert np.array_equal(t.apply(np.roll(v, 5)), np.roll(t.apply(v), 5))
     batch = np.stack([v, np.roll(v, 1)])
     assert np.array_equal(t.apply_inverse(t.apply(batch)), batch)
-    # apply costs O(rN): neither T's m x N rows nor a dense view was formed
+    # apply costs O(rN): no dense view was formed
     for side in (t._forward, t._inverse):
-        assert not {"top", "dense"} & set(vars(side))
+        assert "dense" not in vars(side)
 
     spec = cyclic_hamming_spec(2, 11)
     start = time.perf_counter()
