@@ -26,7 +26,7 @@ from .matrix import (
     parse_matrix,
     rref,
 )
-from .transforms import eigen_candidates, format_transform
+from .transforms import check_trials, eigen_candidates, format_transform
 from .verify import resolve, run_target, select_targets
 
 
@@ -167,10 +167,13 @@ def _cmd_verify(args) -> int:
     targets = select_targets(args.code, args.p, args.m, args.form)
     if not targets:
         raise CliError("no verification target matches the selector")
+    builds = [target.build() for target in targets]
+    for t in builds:  # an oversized --trials is refused before any target prints
+        check_trials(args.trials, t.n)
     all_ok = True
     total = 0
-    for target in targets:
-        summary, checks = run_target(target, trials=args.trials, seed=args.seed)
+    for target, t in zip(targets, builds):
+        summary, checks = run_target(target, trials=args.trials, seed=args.seed, t=t)
         print(summary)
         for check in checks:
             print(check.line())

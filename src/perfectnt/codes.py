@@ -137,19 +137,6 @@ def _x_power_is_one(g: FieldPoly, e: int) -> bool:
     return r.coeffs == (1,)
 
 
-def _is_irreducible(g: FieldPoly) -> bool:
-    """Trial division by all lower-degree monic polynomials."""
-    if g.degree < 1:
-        return False
-    field = g.field
-    for deg in range(1, g.degree // 2 + 1):
-        for low in product(range(field.p), repeat=deg):
-            f = FieldPoly(low + (1,), field)
-            if (g % f).is_zero():
-                return False
-    return True
-
-
 def cyclic_hamming_parity_poly(p: int, m: int) -> FieldPoly:
     """Check polynomial h(x) = (x^N - 1)/g(x) for the cyclic Hamming code.
 
@@ -162,6 +149,12 @@ def cyclic_hamming_parity_poly(p: int, m: int) -> FieldPoly:
     p = 2); otherwise the order-N construction yields a code with
     repeated projective points and minimum distance 2, so it is
     rejected.
+
+    Only the order of x mod g is tested: order N implies irreducibility.
+    N = (p^m - 1)/(p - 1) = 1 mod p, so x^N - 1 is squarefree. If g
+    split into t >= 2 irreducible factors of degrees d_i, the order of x
+    would divide lcm(p^d_i - 1), which is at most
+    prod(p^d_i - 1)/(p - 1)^(t-1) < N.
     """
     field = PrimeField(p)
     n = _hamming_length(p, m)
@@ -179,7 +172,6 @@ def cyclic_hamming_parity_poly(p: int, m: int) -> FieldPoly:
         if (
             _x_power_is_one(g, n)
             and not any(_x_power_is_one(g, d) for d in cofactors)
-            and _is_irreducible(g)
         ):
             return modulus // g
     raise UnsupportedParametersError(

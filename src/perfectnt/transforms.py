@@ -45,6 +45,7 @@ from .matrix import (
     Factored,
     FieldMatrix,
     as_vectors,
+    circulant_from_first_row,
     determinant,
     format_matrix_text,
     hstack,
@@ -421,18 +422,20 @@ def sample_shift_failures(
 def verify_properties(t: TransformSpec, trials: int = 1000, seed: int = 1234) -> PropertyReport:
     """Randomized and exact checks of the transform's algebraic behavior.
 
-    Always checked: linearity over random vector pairs and scalars, and
-    the impulse response (the image of the unit impulse under apply is the
-    first matrix column, read from the factors in int64). For cyclic
-    transforms additionally: commutation with every cyclic shift (time
-    shift), the inverse-side converse (frequency shift), the
-    constant-sequence rule with the matrix row sum as the scaling factor,
-    and agreement of the matrix and polynomial application routes.
+    Always checked: the round trip (apply_inverse undoes apply on every
+    trial), linearity over random vector pairs and scalars, and the impulse
+    response (the image of the unit impulse under apply is the first matrix
+    column, read from the factors in int64). For cyclic transforms
+    additionally: that the inverse is circulant, commutation with every
+    cyclic shift (time shift), the inverse-side converse (frequency shift),
+    the constant-sequence rule with the matrix row sum as the scaling
+    factor, and agreement of the matrix and polynomial application routes.
 
-    The two shift checks are certified by certify_shift_invariance. When it
-    holds, every shifted product is exact, so both read 0 failures without
-    being made; they are sampled, every shift of every trial, only when the
-    certificate fails. No check here forms a dense N x N view.
+    One certify_shift_invariance call decides the circulant inverse and the
+    two shift checks. When it holds, every shifted product is exact, so the
+    shift checks read 0 failures without being made. Only when it fails are
+    they sampled, every shift of every trial, and the dense inverse compared
+    with the circulant of its first row.
     """
     check_trials(trials, t.n)
     rng = np.random.default_rng(seed)
@@ -449,11 +452,24 @@ def verify_properties(t: TransformSpec, trials: int = 1000, seed: int = 1234) ->
             )
         )
 
-    # linearity
     vs = rng.integers(0, p, size=(trials, n), dtype=np.int64)
+    images = t.apply(vs)
+    count_failures("round_trip", np.any(t.apply_inverse(images) != vs, axis=1))
+
+    cyclic = t.form == FORM_CYCLIC
+    certified = cyclic and certify_shift_invariance(t)
+    if cyclic:
+        # a matrix is circulant exactly when it commutes with the cyclic shift;
+        # the dense comparison is made only when the certificate fails
+        ok = certified or (
+            circulant_from_first_row(t.field, t.inverse_matrix.data[0]) == t.inverse_matrix
+        )
+        got = "match" if ok else "mismatch"
+        report.checks.append(CheckResult("inverse_is_circulant", ok, "circulant closure", got))
+
+    # linearity
     ws = rng.integers(0, p, size=(trials, n), dtype=np.int64)
     ab = rng.integers(0, p, size=(trials, 2), dtype=np.int64)
-    images = t.apply(vs)
     lhs = t.apply((ab[:, 0:1] * vs + ab[:, 1:2] * ws) % p)
     rhs = (ab[:, 0:1] * images + ab[:, 1:2] * t.apply(ws)) % p
     count_failures("linearity", np.any(lhs != rhs, axis=1))
@@ -472,8 +488,8 @@ def verify_properties(t: TransformSpec, trials: int = 1000, seed: int = 1234) ->
         )
     )
 
-    if t.form == FORM_CYCLIC:
-        if certify_shift_invariance(t):
+    if cyclic:
+        if certified:
             time_failed = freq_failed = np.zeros(trials, dtype=bool)
         else:
             time_failed, freq_failed = sample_shift_failures(t, vs, images)

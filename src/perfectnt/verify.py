@@ -30,20 +30,17 @@ from .gf import require_integer
 from .matrix import (
     FieldMatrix,
     char_poly,
-    circulant_from_first_row,
     kernel_basis,
     multiplicative_order,
     rref,
 )
 from .poly import FieldPoly
 from .transforms import (
-    FORM_CYCLIC,
     CheckResult,
     TransformSpec,
     build_cyclic,
     build_extended_golay,
     build_standard,
-    certify_shift_invariance,
     check_trials,
     eigenspace,
     verify_properties,
@@ -200,17 +197,19 @@ def _matched(name: str, ok: bool, expected: str) -> CheckResult:
 
 
 def run_target(
-    target: GoldenTarget, trials: int = 1000, seed: int = 1234
+    target: GoldenTarget, trials: int = 1000, seed: int = 1234, t: TransformSpec | None = None
 ) -> tuple[str, list[CheckResult]]:
-    """Build the target and run every applicable check.
+    """Run every applicable check on the target's build t (built here if None).
 
-    Returns (summary line, check results). The summary always contains
-    "det≠0" when the determinant is nonzero, and "order=<e>" when the
-    multiplicative order was computed for this target. Only the stored
-    claims, and the inverse_is_circulant fallback when the shift certificate
-    fails, read the dense views t.matrix and t.inverse_matrix.
+    The target's own claims come first, then the sampled checks of
+    verify_properties, which include the round trip and, for cyclic builds,
+    inverse_is_circulant. Returns (summary line, check results). The summary
+    always contains "det≠0" when the determinant is nonzero, and "order=<e>"
+    when the multiplicative order was computed for this target. Only the
+    stored claims, and verify_properties when the shift certificate fails,
+    read the dense views t.matrix and t.inverse_matrix.
     """
-    t = target.build()
+    t = target.build() if t is None else t
     check_trials(trials, t.n)
     claims = target.claims
     checks: list[CheckResult] = []
@@ -302,27 +301,6 @@ def run_target(
             "fixed" if fixed else "moved",
         )
     )
-
-    rng = np.random.default_rng(seed)
-    vs = rng.integers(0, p, size=(trials, t.n), dtype=np.int64)
-    back = t.apply_inverse(t.apply(vs))
-    rt_fails = int(np.count_nonzero(np.any(back != vs, axis=1)))
-    checks.append(
-        CheckResult(
-            "round_trip",
-            rt_fails == 0,
-            f"0/{trials} failures",
-            f"{rt_fails}/{trials} failures",
-        )
-    )
-
-    if t.form == FORM_CYCLIC:
-        # a matrix is circulant exactly when it commutes with the cyclic shift;
-        # the dense comparison is made only when the certificate fails
-        circulant = certify_shift_invariance(t) or (
-            circulant_from_first_row(t.field, t.inverse_matrix.data[0]) == t.inverse_matrix
-        )
-        checks.append(_matched("inverse_is_circulant", circulant, "circulant closure"))
 
     checks.extend(verify_properties(t, trials=trials, seed=seed).checks)
 

@@ -26,6 +26,19 @@ def poly_gcd(a: FieldPoly, b: FieldPoly) -> FieldPoly:
     return a if a.is_zero() else poly_scaled(a, a.field.inv(a.coeffs[-1]))
 
 
+def is_irreducible(g: FieldPoly) -> bool:
+    """Trial division by all lower-degree monic polynomials."""
+    if g.degree < 1:
+        return False
+    field = g.field
+    for deg in range(1, g.degree // 2 + 1):
+        for low in product(range(field.p), repeat=deg):
+            f = FieldPoly(low + (1,), field)
+            if (g % f).is_zero():
+                return False
+    return True
+
+
 def ring_reduce(ring: CyclicRing, poly: FieldPoly) -> FieldPoly:
     """poly in GF(p)[x]/(x^n - 1): its exponents folded mod n."""
     acc = [0] * ring.n

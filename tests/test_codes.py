@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from perfectnt.gf import MAX_LENGTH, PrimeField, is_prime
 from perfectnt.matrix import FieldMatrix, circulant_from_first_row, kernel_basis, rref
 from perfectnt.poly import FieldPoly, reversed_coefficient_row
 
-from helpers import generator_from_parity, hamming_columns, minimum_distance
+from helpers import generator_from_parity, hamming_columns, is_irreducible, minimum_distance
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -112,6 +113,25 @@ def test_cyclic_hamming_generator_poly(p, m, expected):
     n = (p**m - 1) // (p - 1)
     modulus = FieldPoly.monomial(field, n) - FieldPoly.one(field)
     assert (modulus // cyclic_hamming_parity_poly(p, m)).coeffs == expected
+
+
+def test_cyclic_hamming_generator_is_irreducible():
+    # the search tests only the order of x mod g; for every cyclic-admissible
+    # (p, m) with N <= 2**14, trial division confirms the g it picks is irreducible.
+    # m = 2 gives an even N = p + 1 for odd p, so p^2 + p + 1 <= N keeps p < 128
+    cases = [
+        (p, m)
+        for p in range(2, 128)
+        if is_prime(p)
+        for m in range(2, 15)
+        if (p**m - 1) // (p - 1) <= MAX_LENGTH and math.gcd((p**m - 1) // (p - 1), p - 1) == 1
+    ]
+    assert len(cases) == 34
+    for p, m in cases:
+        field, n = PrimeField(p), (p**m - 1) // (p - 1)
+        modulus = FieldPoly.monomial(field, n) - FieldPoly.one(field)
+        g = modulus // cyclic_hamming_parity_poly(p, m)
+        assert g.degree == m and is_irreducible(g), (p, m)
 
 
 def test_longest_admitted_hamming_code():

@@ -279,6 +279,8 @@ def test_property_failures_count_trials(golden, monkeypatch):
     assert len(sampled) == 1
     got = {c.name: (c.passed, c.got) for c in report.checks}
     assert got == {
+        "round_trip": (True, "0/200 failures"),
+        "inverse_is_circulant": (False, "mismatch"),
         "linearity": (True, "0/200 failures"),
         "impulse_response": (True, "match"),
         "time_shift": (False, "196/200 failures"),

@@ -1,5 +1,6 @@
 import sys
 
+import numpy as np
 import pytest
 
 from perfectnt import matrix, transforms, verify
@@ -92,6 +93,27 @@ def test_run_target_computes_the_eigenspace_once(monkeypatch, target):
 
 
 @pytest.mark.parametrize(
+    "target",
+    [*GOLDEN_TARGETS, *select_targets("hamming", 3, 3, "cyclic")],
+    ids=lambda t: t.name,
+)
+def test_run_target_draws_and_certifies_once(monkeypatch, target):
+    # the round trip, the circulant inverse and the shift checks share one
+    # seeded batch and one shift certificate
+    draws, certificates = [], []
+    real_rng, real_certify = np.random.default_rng, transforms.certify_shift_invariance
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: draws.append(a) or real_rng(*a))
+    monkeypatch.setattr(
+        transforms,
+        "certify_shift_invariance",
+        lambda t: certificates.append(t) or real_certify(t),
+    )
+    run_target(target, trials=3, seed=1)
+    assert len(draws) == 1
+    assert len(certificates) == (1 if target.form == "cyclic" else 0)
+
+
+@pytest.mark.parametrize(
     "target", [t for t in GOLDEN_TARGETS if t.form == "cyclic"], ids=lambda t: t.name
 )
 def test_inverse_is_circulant_by_certificate_or_dense_fallback(monkeypatch, target):
@@ -100,11 +122,10 @@ def test_inverse_is_circulant_by_certificate_or_dense_fallback(monkeypatch, targ
     def refuse(*args):
         raise AssertionError("dense circulant comparison on the certified path")
 
-    monkeypatch.setattr(verify, "circulant_from_first_row", refuse)
+    monkeypatch.setattr(transforms, "circulant_from_first_row", refuse)
     certified = run_target(target, trials=5, seed=2)
     monkeypatch.undo()
-    for module in (transforms, verify):
-        monkeypatch.setattr(module, "certify_shift_invariance", lambda t: False)
+    monkeypatch.setattr(transforms, "certify_shift_invariance", lambda t: False)
     assert run_target(target, trials=5, seed=2) == certified
     assert ("inverse_is_circulant", True) in {(c.name, c.passed) for c in certified[1]}
 
