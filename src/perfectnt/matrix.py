@@ -23,19 +23,19 @@ and while it is <= 2**53 in float64.
 A float type with a t-bit significand holds every integer up to 2**t, so
 every partial sum, and the sum P = s*v + A*(K*v), is an exact float integer
 in any summation order (the delayed reduction of FFLAS-FFPACK, Dumas,
-Giorgi and Pernet, ACM TOMS 2008). P = q*p + s', 0 <= s' < p, is reduced in
-the same type, as P - floor(P/p)*p, and the margin of p makes that exact:
-P/p lies in [q, q + 1 - 1/p] and below (P + p)/p <= 2**t/p, so its
-correctly rounded value is within half an ulp of it, which is less than
-1/p, and never below the float q: its floor is q. Then q*p <= P and P - q*p
-are exact.
+Giorgi and Pernet, ACM TOMS 2008). P is reduced in integers: 0 <= P < 2**t,
+so P converts exactly to the signed integer type as wide as the float
+(int32 for float32, int64 for float64), and there P % p is P & 1 at p = 2,
+else P - (P // p)*p, // being the exact quotient of non-negative integers.
+The margin of p in the bound is slack for this reduction; it is kept so
+that no operand changes tier.
 
 The operand resolves its tier once, when it is built, and keeps read-only
-copies of A and K in its float type. A batch is reduced that way, in the
-float type; a single vector runs as two matrix-vector products (sgemv or
-dgemv, through ``.dot``) and is reduced by one int64 remainder. Past
-2**53, K*v is reduced first, and the two products are ordinary int64 ones
-with inner dimensions N and r.
+copies of A and K in its float type. A batch enters that type through int32,
+which holds every residue, and is reduced as above; a single vector runs as
+two matrix-vector products (sgemv or dgemv, through ``.dot``) and its int64
+sum is reduced by the same integer step. Past 2**53, K*v is reduced first,
+and the two products are ordinary int64 ones with inner dimensions N and r.
 
 The dense views of a transform, ``t.matrix`` and ``t.inverse_matrix``,
 remember the factors they were formed from, and so do their transposes.
@@ -283,16 +283,19 @@ def mulmod(a, b, p: int) -> np.ndarray:
             chained = fa.dot(fk.dot(b.astype(fk.dtype))).astype(np.int64)
         else:
             fa, fk = a.floats
-            fb = b.astype(fk.dtype)
+            # residues lie below 2**21, so the int32 step is exact, and numpy
+            # converts int32 to float in a vector loop, int64 not
+            fb = b.astype(np.int32).astype(fk.dtype)
             # a batch arrives as rows.T: formed row by row, the chain has
             # fb's memory order, and the sum below runs over both in step
             chained = ((fb.T @ fk.T) @ fa.T).T
-            fb *= a.scalar
+            if a.scalar != 1:
+                fb *= a.scalar
             fb[: len(chained)] += chained
             return _reduce(fb, p)
-        out = a.scalar * b
+        out = b.copy(order="K") if a.scalar == 1 else a.scalar * b
         out[: len(chained)] += chained
-        return np.remainder(out, p, out=out)
+        return _remainder(out, p)
     if isinstance(b, FieldMatrix) and b._factors is not None and b._factors[1]:
         return mulmod(b._factors[0], _as_ints(a).T, p).T
     if isinstance(a, FieldMatrix) and a._factors is not None and not a._factors[1]:
@@ -304,17 +307,26 @@ def mulmod(a, b, p: int) -> np.ndarray:
 
 
 def _reduce(product: np.ndarray, p: int) -> np.ndarray:
-    """Residues of float integers P with P + p <= 2**t, t the significand width.
+    """Residues of exact float integer sums 0 <= P < 2**t, t the significand width.
 
-    floor(P/p) is the exact quotient under that margin (see the module
-    docstring). `product` is a temporary of the caller's and is overwritten.
+    The sums convert exactly to the integer type as wide as the float, int32
+    for float32 (2**24 < 2**31) and int64 for float64 (2**53 < 2**63), where
+    they are reduced (see the module docstring).
     """
-    quotient = product / p
-    np.floor(quotient, out=quotient)
+    ints = product.astype(np.int32 if product.dtype == np.float32 else np.int64)
+    return _remainder(ints, p).astype(np.int64, copy=False)
+
+
+def _remainder(x: np.ndarray, p: int) -> np.ndarray:
+    """x % p for an integer array x >= 0, in place: a mask at p = 2, else
+    x - (x // p)*p, whose floor division by a scalar numpy runs as a multiply
+    and a shift."""
+    if p == 2:
+        return np.bitwise_and(x, 1, out=x)
+    quotient = x // p
     quotient *= p
-    product -= quotient
-    del quotient  # freed before the int64 copy is made
-    return product.astype(np.int64)
+    x -= quotient
+    return x
 
 
 def _as_ints(x) -> np.ndarray:

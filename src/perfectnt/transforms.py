@@ -54,6 +54,7 @@ from .matrix import (
     mulmod,
     rref,
 )
+from .poly import FieldPoly
 
 FORM_STANDARD_NULLROW = "standard_nullrow"
 FORM_STANDARD_COMBO = "standard_combo"
@@ -300,20 +301,41 @@ def is_perfect_transform(t: TransformSpec) -> tuple[bool, int | None, int]:
 def apply_via_polynomial(t: TransformSpec, v) -> np.ndarray:
     """Apply a cyclic transform as multiplication in GF(p)[x]/(x^n - 1).
 
-    Independent of the matrix product route: only the impulse response
-    c (the first column) is read, and c(x) * v(x) with exponents folded
-    mod n is the sum of c_j * rot_j(v) over the nonzero c_j. v is one
-    length-n vector or a (rows, n) batch; the result has v's shape and
-    must agree with apply() entry for entry.
+    Independent of the matrix product route: it reads lambda and the code's
+    check polynomial h, never A, K or T. T multiplies by lambda + x^r h(x)
+    mod x^n - 1, r = n - deg h (see build_cyclic). With g = (x^n - 1)/h and
+    s = v mod g, h*v = h*s mod x^n - 1, and deg(h*s) < n, so that product
+    does not wrap: v is divided by g (n - r steps), s multiplied by h (one
+    step per nonzero coefficient of h), the product rotated by r and lambda*v
+    added. v is one length-n vector or a (rows, n) batch; the result has v's
+    shape and must agree with apply() entry for entry.
     """
     if t.form != FORM_CYCLIC:
         raise ValueError(f"polynomial application needs a cyclic transform, got {t.form}")
     vs = t._vectors(v)
-    c = t.first_column()
-    out = np.zeros_like(vs)
-    for j in np.flatnonzero(c):
-        out += c[j] * np.roll(vs, j, axis=-1)
-    return out % t.field.p
+    field, h, n = t.field, t.code.h, t.n
+    p, k = field.p, h.degree
+    r = n - k
+    g = (FieldPoly.monomial(field, n) - FieldPoly.one(field)) // h
+    # x^r = tail(x) mod g: the lower terms of g over its leading coefficient, negated
+    lead_inv = field.inv(g.coeffs[-1])
+    tail = np.array([-c * lead_inv % p for c in g.coeffs[:-1]], dtype=np.int64)[:, None]
+    # one row per power of x, one column per vector; the top coefficient is
+    # folded down unreduced, so an entry stays below p + r*(p-1)**2
+    rem = vs.reshape(-1, n).T.copy()
+    for i in range(n - 1, r - 1, -1):
+        rem[i - r : i] += tail * (rem[i] % p)
+    s = rem[:r] % p
+    del rem
+    hs = np.zeros((n, s.shape[1]), dtype=np.int64)
+    for j, c in enumerate(h.coeffs):
+        if c:
+            hs[j : j + r] += c * s
+    # times x^r: the power i of h*s moves to (i + r) mod n
+    out = t.lam * vs.reshape(-1, n).T
+    out[r:] += hs[:k]
+    out[:r] += hs[k:]
+    return np.remainder(out, p, out=out).T.reshape(vs.shape)
 
 
 # -- property verification ----------------------------------------------------------
@@ -438,6 +460,8 @@ def verify_properties(t: TransformSpec, trials: int = 1000, seed: int = 1234) ->
     with the circulant of its first row.
     """
     check_trials(trials, t.n)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     p = t.field.p
     n = t.n

@@ -182,6 +182,8 @@ def test_info_control_is_not_perfect(capsys):
         (["gen", "--code", "hamming", "--p", "2097169", "--m", "2"], "too large"),
         (["verify", "--trials", "0"], "--trials"),
         (["verify", "--trials", "-5"], "--trials"),
+        (["verify", "--seed", "-1"], "--seed"),
+        (["verify", "--code", "hamming", "--p", "2", "--m", "12", "--seed", "-1", "--trials", "10"], "--seed"),
         (["gen", "--code", "hamming", "--p", "2", "--m", "3", "--form", "extended"], "no extended form"),
         (["gen", "--code", "golay", "--p", "5"], "--p 2 or --p 3"),
         # refused before any target runs: once hamming74, hamming13 and

@@ -462,7 +462,7 @@ def test_mulmod_matches_python_ints(p, inner, rows, cols, ndims, fill, seed):
     assert got.tolist() == python_product(a, b, p)
 
 
-@pytest.mark.parametrize("p", [3, 7, 257, 4093])
+@pytest.mark.parametrize("p", [2, 3, 7, 257, 4093])
 def test_float32_reduction_is_exact_up_to_the_margin(p):
     # every integer sum the float32 tier can hand over, P + p <= 2**24; 4093 is
     # the largest prime for which the tier is reachable, (p-1)**2 + p <= 2**24
@@ -470,6 +470,17 @@ def test_float32_reduction_is_exact_up_to_the_margin(p):
     for start in range(0, 2**24 - p + 1, step):
         sums = np.arange(start, min(start + step, 2**24 - p + 1), dtype=np.int64)
         assert np.array_equal(matrix._reduce(sums.astype(np.float32), p), sums % p)
+
+
+@pytest.mark.parametrize("p", [4099, 65521, 2_097_143])
+def test_float64_reduction_is_exact_up_to_the_margin(p):
+    # float64 sums, P + p <= 2**53, reduced in int64: windows at the bottom,
+    # across 2**31, past int32's range, and at the top; 4099 is the prime
+    # after 4093, the first the float32 windows above cannot take
+    step = 2**20
+    for start in (0, 2**31 - step // 2, 2**53 - p + 1 - step):
+        sums = np.arange(start, start + step, dtype=np.int64)
+        assert np.array_equal(matrix._reduce(sums.astype(np.float64), p), sums % p)
 
 
 class _PathChosen(Exception):
@@ -555,7 +566,8 @@ def python_chain(s, a, k, v, p):
 def test_chained_mulmod_path_follows_the_bound(monkeypatch):
     # the factored operand s*I + A*K, A m x r and K r x N: float32 while
     # r*N*(p-1)**3 + (p-1)**2 + p <= 2**24, float64 while <= 2**53, K@v reduced
-    # first past that; a batch is reduced in the float type, one vector in int64.
+    # first past that; a batch's float sums are reduced by _reduce, in the
+    # integer type as wide as the float, and one vector's in int64.
     # The operand converts A and K to its float type when it is built.
     floated, inner_calls, reduced = [], [], []
     real_mulmod, real_reduce = matrix.mulmod, matrix._reduce
@@ -582,7 +594,8 @@ def test_chained_mulmod_path_follows_the_bound(monkeypatch):
     monkeypatch.setattr(matrix, "mulmod", kernel_spy)  # the kernel calling itself
     monkeypatch.setattr(matrix, "_reduce", reduce_spy)
 
-    def path(s, a, k, v, p):
+    def path(s, a, k, v, p, expected=None):
+        """The chain's tier; `expected` is its value when python_chain would be slow."""
         floated.clear()
         inner_calls.clear()
         reduced.clear()
@@ -598,7 +611,7 @@ def test_chained_mulmod_path_follows_the_bound(monkeypatch):
         try:
             got = real_mulmod(operand, v, p)
             assert got.dtype == np.int64
-            assert got.tolist() == python_chain(s, a, k, v, p)
+            assert got.tolist() == (python_chain(s, a, k, v, p) if expected is None else expected)
         except _PathChosen:  # K@v reduced first, only while not computing
             pass
         if operand.floats is None:
@@ -643,6 +656,32 @@ def test_chained_mulmod_path_follows_the_bound(monkeypatch):
                 a, k = rng.integers(0, p, size=(m, r)), rng.integers(0, p, size=(r, n))
                 v = rng.integers(0, p, size=v_shape)
             assert path(s, a, k, v, p) == want, (p, m, r, n, cols, fill)
+    # the unit scalar, where s*v is a copy of v, filled with p - 1, on both
+    # sides of each bound; at p = 2 a mask reduces the sums
+    for p, m, r, n, cols, want in (
+        (7, 4, 4, 19418, None, "float32"),
+        (7, 2, 4, 19418, 3, "float32"),
+        (7, 4, 4, 19419, None, "float64"),
+        (7, 2, 4, 19419, 3, "float64"),
+        (65537, 3, 4, 8, None, "reduced first"),
+        (65537, 2, 3, 11, 4, "reduced first"),
+        (2, 3, 5, 40, None, "float32"),
+        (2, 3, 5, 40, 7, "float32"),
+        (2, 40, 5, 40, 7, "float32"),
+    ):
+        v_shape = (n,) if cols is None else (n, cols)
+        a, k, v = full((m, r), p - 1), full((r, n), p - 1), full(v_shape, p - 1)
+        assert path(1, a, k, v, p) == want, (p, m, r, n, cols)
+    # p = 2 at the float32 threshold: r*N = 4094 * 4098 = 2**24 - 4, so the
+    # bound is 2**24 - 1 and the largest sum, 1 + r*N, is 2**24 - 3. Filled
+    # with ones, the chain is 1 + r*N in A's one row and 1 below it: the value
+    # of python_chain, which would take r*N Python products per column here
+    for cols in (None, 64):
+        v_shape = (4098,) if cols is None else (4098, cols)
+        expected = np.ones(v_shape, dtype=np.int64)
+        expected[0] = (1 + 4094 * 4098) % 2
+        a, k, v = full((1, 4094), 1), full((4094, 4098), 1), full(v_shape, 1)
+        assert path(1, a, k, v, 2, expected.tolist()) == "float32", cols
     # at p = 2 the float tiers end at r*N = 2**24 - 3 and 2**53 - 3; the spy
     # stops before any float copy of these shapes is made
     compute = False

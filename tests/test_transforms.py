@@ -261,8 +261,10 @@ def test_verify_properties_all_pass(golden):
 def test_property_failures_count_trials(golden, monkeypatch):
     # swapping two columns breaks the circulant: counts are failing trials
     # (any shift), not failing shifts, and the polynomial route reads only
-    # the first column, so it fails exactly where the images differ; the
-    # shift certificate fails, so the counts come from the sampled products
+    # lambda and the code's h, which give the unbroken T (the swap leaves
+    # column 0, lambda + x^r h, alone), so it fails exactly where the images
+    # differ; the shift certificate fails, so the counts come from the
+    # sampled products
     t = golden["hamming7-cyclic"]
     m = t.matrix.data.copy()
     m[:, [2, 5]] = m[:, [5, 2]]

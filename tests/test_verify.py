@@ -69,6 +69,15 @@ def test_trials_below_one_refused(golden, trials):
         verify_properties(golden["hamming7-cyclic"], trials=trials)
 
 
+def test_negative_seed_refused_before_any_draw(golden, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew with a negative seed")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        verify_properties(golden["hamming7-cyclic"], seed=-1)
+
+
 def test_trial_bound_admits_every_product_up_to_2_pow_24():
     # the bound is on trials * N itself: 1000 trials fit every admitted length
     for n in (7, 23, 255, 400, 16383):
