@@ -182,14 +182,14 @@ def test_info_control_is_not_perfect(capsys):
         (["gen", "--code", "hamming", "--p", "2097169", "--m", "2"], "too large"),
         (["verify", "--trials", "0"], "--trials"),
         (["verify", "--trials", "-5"], "--trials"),
-        (["verify", "--seed", "-1"], "--seed"),
-        (["verify", "--code", "hamming", "--p", "2", "--m", "12", "--seed", "-1", "--trials", "10"], "--seed"),
         (["gen", "--code", "hamming", "--p", "2", "--m", "3", "--form", "extended"], "no extended form"),
         (["gen", "--code", "golay", "--p", "5"], "--p 2 or --p 3"),
         # refused before any target runs: once hamming74, hamming13 and
         # hamming7-cyclic printed 42 lines first, and the second printed 12
         (["verify", "--trials", "800000"], "800000 * 23 exceeds"),
         (["verify", "--form", "standard", "--trials", "1300000"], "1300000 * 13 exceeds"),
+        (["verify", "--seed", "-1"], "--seed"),
+        (["verify", "--code", "hamming", "--p", "2", "--m", "12", "--seed", "-1", "--trials", "10"], "--seed"),
     ],
 )
 def test_error_paths_exit_one(capsys, argv, needle):
