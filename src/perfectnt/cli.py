@@ -253,7 +253,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, MemoryError) as exc:
+        # numpy's allocation failure is a MemoryError with a one-line message
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -37,19 +37,19 @@ two matrix-vector products (sgemv or dgemv, through ``.dot``) and its int64
 sum is reduced by the same integer step. Past 2**53, K*v is reduced first,
 and the two products are ordinary int64 ones with inner dimensions N and r.
 
-The dense views of a transform, ``t.matrix`` and ``t.inverse_matrix``,
-remember the factors they were formed from, and so do their transposes.
-:func:`mulmod` multiplies through them: T @ b is the chain on b, and
-a @ T.T is (T @ a.T).T, so no N x N product is made for them. Every other
-operation on a view returns a plain matrix.
+The dense views of a transform, ``t.matrix`` and ``t.inverse_matrix``, are
+int64 matrices: T @ b, T.mat_vec(v) and every other operation on a view run
+the plain product above, which shares no arithmetic with the factored chain,
+so comparing the two cross-checks the chain. A view and its transpose remember
+the factors they were formed from, and only one product reads them: a @ T.T
+is (T @ a.T).T through the chain, so no N x N product is made for it.
 
-The elimination update (:func:`_clear_column`) is elementwise and keeps
-its products below p**2.
-
-Algorithms that need to be division-aware (RREF, determinant, inverse)
-pivot with modular inverses. The characteristic polynomial uses the
-Berkowitz method, which is division-free, so it is exact over any prime
-field without special-casing small p.
+RREF, determinant and inverse share one Gauss-Jordan elimination
+(:func:`_gauss_jordan`), which pivots with modular inverses. Its update
+(:func:`_clear_column`) is elementwise and keeps its products below p**2.
+The characteristic polynomial uses the Berkowitz method, which is
+division-free, so it is exact over any prime field without special-casing
+small p.
 """
 
 from __future__ import annotations
@@ -189,9 +189,6 @@ class FieldMatrix:
     def __repr__(self) -> str:
         return f"FieldMatrix({self.field!r}, shape={self.shape})"
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(map(str, row)) for row in self.data.tolist())
-
 
 class Factored:
     """scalar*I + A*K, N x N, with A (m x r) its nonzero leading rows and K r x N.
@@ -213,9 +210,10 @@ class Factored:
 
     @cached_property
     def dense(self) -> FieldMatrix:
-        """The N x N matrix scalar*I + A*K, A's rows past m zero.
+        """The N x N matrix scalar*I + A*K, A's rows past m zero, in int64.
 
-        It keeps this operand, and mulmod multiplies through it.
+        It keeps this operand for its transpose: mulmod multiplies a @ T.T
+        through it, and every other product with T is a plain one.
         """
         data = mulmod(self.a, self.k, self.p)
         m, n = data.shape
@@ -271,9 +269,10 @@ def mulmod(a, b, p: int) -> np.ndarray:
     docstring).
 
     `a` may also be a Factored operand s*I + A@K, and `b` an int64 array with
-    N rows: the chain s*b + A@(K@b), in the tier the operand resolved. A
-    transform's dense view, or its transpose, is multiplied through its
-    operand: T @ b as the chain on b, and a @ T.T as (T @ a.T).T.
+    N rows: the chain s*b + A@(K@b), in the tier the operand resolved. The
+    transpose of a transform's dense view, on the right, is multiplied
+    through its operand: a @ T.T as (T @ a.T).T. A dense view itself
+    multiplies as a plain matrix.
     """
     if isinstance(a, Factored):
         if a.floats is None:
@@ -298,8 +297,6 @@ def mulmod(a, b, p: int) -> np.ndarray:
         return _remainder(out, p)
     if isinstance(b, FieldMatrix) and b._factors is not None and b._factors[1]:
         return mulmod(b._factors[0], _as_ints(a).T, p).T
-    if isinstance(a, FieldMatrix) and a._factors is not None and not a._factors[1]:
-        return mulmod(a._factors[0], _as_ints(b), p)
     inner = a.shape[-1]
     if inner * (p - 1) ** 2 >= 2**63:
         raise ValueError(f"a product of inner dimension {inner} over GF({p}) would overflow int64")
@@ -351,29 +348,57 @@ def as_vectors(field: PrimeField, v) -> np.ndarray:
     return _residues(field, v, (1, 2), "expected a vector or a 2-D batch of them")
 
 
-def hstack(left: FieldMatrix, right: FieldMatrix) -> FieldMatrix:
-    left._check(right)
-    if left.rows != right.rows:
-        raise ValueError("row counts differ")
-    return FieldMatrix(left.field, np.hstack([left.data, right.data]))
-
-
 # -- elimination-based algorithms ------------------------------------------
 
 
-def _clear_column(a: np.ndarray, r: int, c: int, hit: np.ndarray, p: int, inv: int) -> None:
+def _clear_column(a: np.ndarray, r: int, c: int, hit: np.ndarray, p: int) -> None:
     """Zero column c in rows `hit` by subtracting multiples of pivot row r.
 
-    The one elimination update: the multiplier a[i, c] * inv is reduced first,
-    so every product is below p**2, and only the pivot row's nonzero columns
-    (all >= c) are touched, so sparse rows stay cheap.
+    The one elimination update: the pivot is 1, so each multiplier a[i, c] is
+    a residue and every product is below p**2, and only the pivot row's
+    nonzero columns (all >= c) are touched, so sparse rows stay cheap.
     """
     if hit.size == 0:
         return
     cs = np.flatnonzero(a[r, c:]) + c
-    mult = a[hit, c] if inv == 1 else a[hit, c] * inv % p
     block = np.ix_(hit, cs)
-    a[block] = (a[block] - mult[:, None] * a[r, cs]) % p
+    a[block] = (a[block] - a[hit, c][:, None] * a[r, cs]) % p
+
+
+def _gauss_jordan(a: np.ndarray, p: int) -> tuple[int, tuple[int, ...], int]:
+    """Reduce `a` in place to its RREF by Gauss-Jordan with modular pivoting.
+
+    Returns (rank, pivot column indices, det). With at least as many columns
+    as rows, det is the determinant of the leading square block: 0 once a
+    column of that block has no pivot; else the block reduces to I by row
+    swaps, each negating the determinant, and pivot-row scalings, each
+    dividing it by the pivot, so det is the product of the pivots as found,
+    negated once per swap.
+    """
+    rows, cols = a.shape
+    pivots: list[int] = []
+    det = 1
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.flatnonzero(a[:, c])
+        k = nz.searchsorted(r)
+        if k == nz.size:
+            det = 0
+            continue
+        # a swap moves row r, zero in column c, so nz stays valid
+        pivot_row = int(nz[k])
+        if pivot_row != r:
+            a[[r, pivot_row]] = a[[pivot_row, r]]
+            det = -det
+        pivot = int(a[r, c])
+        det = det * pivot % p
+        a[r, c:] = a[r, c:] * pow(pivot, -1, p) % p
+        _clear_column(a, r, c, nz[nz != pivot_row], p)
+        pivots.append(c)
+        r += 1
+    return r, tuple(pivots), det
 
 
 def rref(m: FieldMatrix) -> tuple[FieldMatrix, int, tuple[int, ...]]:
@@ -383,27 +408,9 @@ def rref(m: FieldMatrix) -> tuple[FieldMatrix, int, tuple[int, ...]]:
     scaled to 1 and cleared above and below, so the output is the unique
     canonical representative of the row space.
     """
-    p = m.field.p
     a = m.data.copy()
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(a[:, c])
-        k = nz.searchsorted(r)
-        if k == nz.size:
-            continue
-        # a swap moves row r, zero in column c, so nz stays valid
-        pivot_row = int(nz[k])
-        if pivot_row != r:
-            a[[r, pivot_row]] = a[[pivot_row, r]]
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
-        _clear_column(a, r, c, nz[nz != pivot_row], p, 1)
-        pivots.append(c)
-        r += 1
-    return FieldMatrix(m.field, a), r, tuple(pivots)
+    rk, pivots, _ = _gauss_jordan(a, m.field.p)
+    return FieldMatrix(m.field, a), rk, pivots
 
 
 def kernel_basis(m: FieldMatrix) -> FieldMatrix:
@@ -431,23 +438,10 @@ def kernel_basis(m: FieldMatrix) -> FieldMatrix:
 
 
 def determinant(m: FieldMatrix) -> int:
-    """Determinant by Gaussian elimination, tracking row-swap signs."""
+    """Determinant, read off the Gauss-Jordan elimination of a copy of m."""
     if m.rows != m.cols:
         raise ValueError(f"determinant needs a square matrix, got {m.shape}")
-    p = m.field.p
-    a = m.data.copy()
-    det = 1
-    for c in range(m.rows):
-        nz = np.flatnonzero(a[c:, c]) + c
-        if nz.size == 0:
-            return 0
-        pivot_row = int(nz[0])
-        if pivot_row != c:
-            a[[c, pivot_row]] = a[[pivot_row, c]]
-            det = (-det) % p
-        det = (det * int(a[c, c])) % p
-        _clear_column(a, c, c, nz[1:], p, pow(int(a[c, c]), -1, p))
-    return det
+    return _gauss_jordan(m.data.copy(), m.field.p)[2]
 
 
 def inverse(m: FieldMatrix) -> FieldMatrix:
@@ -455,11 +449,10 @@ def inverse(m: FieldMatrix) -> FieldMatrix:
     if m.rows != m.cols:
         raise ValueError(f"inverse needs a square matrix, got {m.shape}")
     n = m.rows
-    aug = FieldMatrix(m.field, np.hstack([m.data, np.eye(n, dtype=np.int64)]))
-    reduced, rk, _ = rref(aug)
-    if rk < n or not np.array_equal(reduced.data[:, :n], np.eye(n, dtype=np.int64)):
+    aug = np.hstack([m.data, np.eye(n, dtype=np.int64)])
+    if _gauss_jordan(aug, m.field.p)[2] == 0:
         raise SingularMatrixError(f"matrix is singular over {m.field!r} (determinant = 0)", det=0)
-    return FieldMatrix(m.field, reduced.data[:, n:])
+    return FieldMatrix(m.field, aug[:, n:])
 
 
 def char_poly(m: FieldMatrix) -> FieldPoly:

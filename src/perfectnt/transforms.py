@@ -48,7 +48,6 @@ from .matrix import (
     circulant_from_first_row,
     determinant,
     format_matrix_text,
-    hstack,
     inverse,
     kernel_basis,
     mulmod,
@@ -88,8 +87,9 @@ class TransformSpec:
     Construction fails fast on a singular choice of lambda, so every
     TransformSpec in existence is invertible and carries a nonzero det.
     `matrix` and `inverse_matrix` are the dense views, built on first use
-    and kept; products with them, or with their transposes, run in O(rN)
-    per vector through the structured form.
+    and kept. They multiply as plain int64 matrices, except a @ T.T with a
+    view's transpose on the right, which runs in O(rN) per vector through
+    the structured form.
     """
 
     code: CodeSpec
@@ -149,7 +149,8 @@ def _finish(code: CodeSpec, lam: int, a: FieldMatrix, k: FieldMatrix, form: str)
 
     A holds the first m rows of an N x r factor, K is r x N. Only the r x r
     matrix lambda*I_r + K*A is ever factored (see the module docstring). At
-    lambda = 0, T is invertible only when r = N, and then T itself is r x r.
+    lambda = 0, T = A*K is invertible only when r = N, where A and K are
+    invertible and T^-1 = K^-1*A^-1 = A*(K*A)^-2*K, in the same form.
     """
     field, p, lam = code.field, code.field.p, lam % code.field.p
     r, n = k.shape
@@ -157,14 +158,14 @@ def _finish(code: CodeSpec, lam: int, a: FieldMatrix, k: FieldMatrix, form: str)
     det = pow(lam, n - r, p) * determinant(core) % p
     if det == 0:
         raise EigenvalueUnsuitableError(lam, code.label)
-    forward = Factored(lam, a, k)
+    core_inv = inverse(core)
     if lam == 0:
-        backward = Factored(0, inverse(forward.dense), FieldMatrix.identity(field, n))
+        lam_inv, a_inv = 0, mulmod(a, mulmod(core_inv, core_inv, p), p)
     else:
         lam_inv = pow(lam, -1, p)
-        a_inv = mulmod(a, inverse(core), p) * (p - lam_inv) % p
-        backward = Factored(lam_inv, FieldMatrix(field, a_inv), k)
-    return TransformSpec(code, lam, form, det, forward, backward)
+        a_inv = mulmod(a, core_inv, p) * (p - lam_inv) % p
+    backward = Factored(lam_inv, FieldMatrix(field, a_inv), k)
+    return TransformSpec(code, lam, form, det, Factored(lam, a, k), backward)
 
 
 def _exact_image(f: Factored, v: np.ndarray) -> np.ndarray:
@@ -237,9 +238,8 @@ def build_appendix_systematic(p_block: FieldMatrix, lam: int) -> TransformSpec:
     field, lam = p_block.field, lam % p_block.field.p
     k, r = p_block.shape
     n = k + r
-    h_matrix = hstack(
-        p_block.transpose().scaled(-1), FieldMatrix.identity(field, r)
-    )
+    minus_p_t = p_block.transpose().scaled(-1)
+    h_matrix = FieldMatrix(field, np.hstack([minus_p_t.data, np.eye(r, dtype=np.int64)]))
     code = CodeSpec(field, n, k, None, h_matrix, None, f"systematic({n},{k})")
     # the top block less lambda*[I_r | 0]: H, less lambda where the top's
     # lambda*I and I blocks overlap (r > k)
@@ -400,7 +400,8 @@ def certify_shift_invariance(t: TransformSpec) -> bool:
     A'*R follows and is not checked. Each identity is tested exactly, so True
     is a proof, however R was chosen. Every product is r x N, N x r or r x r,
     in int64; no N x N object is formed. False when the two sides do not share
-    K (lambda = 0, where T^-1's K is I_N), or when T is not circulant.
+    K, which every build's do but a hand-built pair of operands may not, or
+    when T is not circulant.
     """
     forward, backward = t._forward, t._inverse
     if backward.k != forward.k:

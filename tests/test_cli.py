@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._exceptions import _ArrayMemoryError
 
-from perfectnt import reference
+from perfectnt import cli, matrix, reference, transforms
 from perfectnt.cli import main
 from perfectnt.codes import UnsupportedParametersError
 from perfectnt.gf import MAX_LENGTH, PrimeField
@@ -408,6 +409,33 @@ def test_small_selector_output_is_pinned(capsys, command, selector, out_digest, 
     got_status, out, err = run(capsys, command, *SMALL_SELECTORS[selector])
     digest = lambda text: hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
     assert (digest(out), digest(err), got_status) == (out_digest, err_digest, status), err
+
+
+def _unable_to_allocate(*args):
+    # numpy's own failure, as at N = 16383 under a 1 GB address-space limit: a
+    # MemoryError whose message is one line
+    raise _ArrayMemoryError((16369, 16383), np.dtype(np.int64))
+
+
+@pytest.mark.parametrize(
+    "command,owner,name,replacement",
+    [
+        ("verify", transforms, "kernel_basis", _unable_to_allocate),  # eigenspace's basis
+        ("eigen", cli, "kernel_basis", _unable_to_allocate),
+        ("gen", matrix.Factored, "dense", property(_unable_to_allocate)),  # the N x N view
+    ],
+    ids=["verify", "eigen", "gen"],
+)
+def test_an_allocation_failure_is_one_error_line(capsys, monkeypatch, command, owner, name, replacement):
+    monkeypatch.setattr(owner, name, replacement)
+    extra = ["--trials", "10"] if command == "verify" else []
+    status, out, err = run(capsys, command, "--code", "hamming", "--p", "2", "--m", "4", *extra)
+    assert status == 1
+    assert err == (
+        "error: Unable to allocate 2.00 GiB for an array with shape (16369, 16383)"
+        " and data type int64\n"
+    )
+    assert command == "eigen" or out == ""  # eigen prints its lambda table first
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from perfectnt.codes import (
 )
 from perfectnt.gf import PrimeField, is_prime
 from perfectnt.matrix import (
+    Factored,
     FieldMatrix,
     circulant_from_first_row,
     determinant,
@@ -62,6 +63,22 @@ BUILDERS = {
     "cyclic": build_cyclic,
     "extended": build_extended_golay,
 }
+
+
+def _forbid_the_factored_chain(mp):
+    """Through `mp`, make every product that runs a Factored chain raise, and
+    every reduction of a float batch."""
+    real_mulmod = matrix.mulmod
+
+    def plain_only(a, b, p):
+        assert not isinstance(a, Factored), "a product ran the factored chain"
+        return real_mulmod(a, b, p)
+
+    def no_reduce(x, p):
+        raise AssertionError("a float batch was reduced")
+
+    mp.setattr(matrix, "mulmod", plain_only)
+    mp.setattr(matrix, "_reduce", no_reduce)
 
 
 def _inflated(t):
@@ -139,9 +156,12 @@ def test_unsuitable_lambda_raises_with_value():
 )
 def test_zero_dimensional_code_admits_lambda_zero(field, h):
     # k = 0 leaves r = N, so T = H at lambda = 0 is invertible: the build must
-    # not divide by lambda
+    # not divide by lambda. T^-1 = A*(K*A)^-2*K keeps the forward K, and the
+    # build forms no dense view
     spec = CodeSpec(field, len(h), 0, None, FieldMatrix(field, h), None, "zero")
     t = build_standard(spec, 0)
+    assert t._inverse.k is t._forward.k
+    assert not any("dense" in vars(side) for side in (t._forward, t._inverse))
     assert t.det == determinant(spec.H) != 0
     assert t.matrix == spec.H
     assert t.inverse_matrix == inverse(spec.H)
@@ -538,7 +558,7 @@ def _dense_reference(spec, form, lam):
 
 
 @pytest.mark.parametrize("p,m", HAMMING_UP_TO_400)
-def test_structure_matches_dense_path(p, m):
+def test_structure_matches_dense_path(monkeypatch, p, m):
     rng = np.random.default_rng(p * 100 + m)
     for form, make_spec, build in (
         ("standard", hamming_parity_check, build_standard),
@@ -566,7 +586,10 @@ def test_structure_matches_dense_path(p, m):
                 assert FieldPoly(tuple(t.inverse_matrix[:, 0].tolist()), spec.field) == c_inv
             vs = rng.integers(0, p, size=(4, spec.N))
             for route, dense_t in ((t.apply, t.matrix), (t.apply_inverse, t.inverse_matrix)):
-                want = np.array([dense_t.mat_vec(v) for v in vs])
+                # the reference is the plain int64 product, not the chain
+                with monkeypatch.context() as mp:
+                    _forbid_the_factored_chain(mp)
+                    want = np.array([dense_t.mat_vec(v) for v in vs])
                 assert np.array_equal(route(vs), want), (p, m, form, lam)
                 assert all(np.array_equal(route(v), w) for v, w in zip(vs, want))
 
@@ -771,34 +794,36 @@ def test_apply_reads_every_input_kind_without_changing_it(build):
 
 @pytest.mark.parametrize("build", [b for _, b in APPLY_CASES], ids=[n for n, _ in APPLY_CASES])
 def test_products_with_the_dense_views_run_through_the_factors(monkeypatch, build):
-    # rows @ view.T, view @ X and view.mat_vec equal Python-int products, and
-    # none of them multiplies by the N x N data; no view holds a float array
+    # only rows @ view.T runs through the factors, and it multiplies by none of
+    # the N x N data; view @ X, view.mat_vec and view.T @ X are plain int64
+    # products, which run no factored chain. All equal Python-int products,
+    # and no view holds a float array
     t = build()
     p, n = t.field.p, t.n
     rng = np.random.default_rng(n)
-    views = (t.matrix, t.inverse_matrix)
-    operands = []
     real_ints = matrix._as_ints
-
-    def ints_spy(x):
-        operands.append(x)
-        return real_ints(x)
-
-    monkeypatch.setattr(matrix, "_as_ints", ints_spy)
-    for view, side in zip(views, (t._forward, t._inverse)):
+    for view, side in ((t.matrix, t._forward), (t.inverse_matrix, t._inverse)):
         assert view._factors == (side, False)
         assert view.transpose()._factors == (side, True)
         assert view.transpose().transpose()._factors == (side, False)
-        operands.extend(side.floats or ())
         dense = view.data
+        operands = list(side.floats or ())
         for count in (1, 3, 64, 300):
             rows = rng.integers(0, p, size=(count, n))
-            got = FieldMatrix(t.field, rows) @ view.transpose()
+            with monkeypatch.context() as mp:
+                mp.setattr(matrix, "_as_ints", lambda x: operands.append(x) or real_ints(x))
+                got = FieldMatrix(t.field, rows) @ view.transpose()
             assert got.tolist() == python_product(rows, dense.T, p)
             assert got._factors is None
-            got = view @ FieldMatrix(t.field, rows.T)
-            assert got.tolist() == python_product(dense, rows.T, p)
-            assert view.mat_vec(rows[0]).tolist() == python_product(dense, rows[0], p)
+            with monkeypatch.context() as mp:
+                _forbid_the_factored_chain(mp)
+                right = view @ FieldMatrix(t.field, rows.T)
+                vector = view.mat_vec(rows[0])
+                left = view.transpose() @ FieldMatrix(t.field, rows.T)
+            assert right.tolist() == python_product(dense, rows.T, p)
+            assert vector.tolist() == python_product(dense, rows[0], p)
+            assert left.tolist() == python_product(dense.T, rows.T, p)
+            assert right._factors is None and left._factors is None
         for x in operands:
             data = x.data if isinstance(x, FieldMatrix) else x
             assert not np.may_share_memory(data, dense), x.shape
