@@ -175,7 +175,7 @@ def _cmd_verify(args) -> int:
     all_ok = True
     total = 0
     for target, t in zip(targets, builds):
-        summary, checks = run_target(target, trials=args.trials, seed=args.seed, t=t)
+        summary, checks = run_target(target, t, trials=args.trials, seed=args.seed)
         print(summary)
         for check in checks:
             print(check.line())

@@ -28,8 +28,8 @@ Hamming NTT for every inflation. An int64 array given to apply is not copied.
 The eigenspace comes from the same factors. T - lambda*I = A*K, with A's rows
 past m zero, maps v to zero exactly when K*v lies in ker A, and ker A = ker R
 for R the nonzero rows of rref(A), row operations keeping the kernel. So
-ker(T - lambda*I) = ker(R*K), for any A and any rank: eigenspace eliminates
-the (rank A) x N product R*K, and no N x N matrix is formed.
+ker(T - lambda*I) = ker(R*K), for any A and any rank: eigenspace_rows reduces
+R*K to at most r rows, and only eigenspace expands those into a dim x N basis.
 """
 
 from __future__ import annotations
@@ -269,18 +269,24 @@ def eigen_candidates(
     return table
 
 
-def eigenspace(t: TransformSpec) -> FieldMatrix:
-    """Canonical basis of ker(T - lambda*I) at the built lambda, from A and K.
+def eigenspace_rows(t: TransformSpec) -> FieldMatrix:
+    """Nonzero rows of rref(R*K), whose kernel is ker(T - lambda*I), from A and K.
 
     T - lambda*I = A*K with A's rows past m zero, so v is in the kernel
     exactly when K*v is in ker A. ker A = ker R, R the nonzero rows of
     rref(A), since row operations keep the kernel. Hence ker(T - lambda*I) =
-    ker(R*K), for every A, whatever its rank: one (rank A) x N product and
-    one elimination, with no N x N object.
+    ker(R*K), for every A, whatever its rank. Two matrices have one kernel
+    exactly when their reduced rows agree; these are N - dim <= r of them.
     """
     f = t._forward
     reduced, rank, _ = rref(f.a)
-    return kernel_basis(FieldMatrix(t.field, mulmod(reduced[:rank], f.k, f.p)))
+    reduced, rank, _ = rref(FieldMatrix(t.field, mulmod(reduced[:rank], f.k, f.p)))
+    return FieldMatrix._wrap(t.field, reduced.data[:rank])
+
+
+def eigenspace(t: TransformSpec) -> FieldMatrix:
+    """Canonical basis of ker(T - lambda*I) at the built lambda, a dim x N matrix."""
+    return kernel_basis(eigenspace_rows(t))
 
 
 def is_perfect_transform(t: TransformSpec) -> tuple[bool, int | None, int]:
@@ -288,9 +294,9 @@ def is_perfect_transform(t: TransformSpec) -> tuple[bool, int | None, int]:
 
     Returns (perfect, witness radius or None, eigenspace dimension). The
     dimension is computed from the transform, not read off the code, so
-    a wrong fixture cannot vacuously pass.
+    a wrong fixture cannot vacuously pass. No eigenspace basis is formed.
     """
-    dim = eigenspace(t).rows
+    dim = t.n - eigenspace_rows(t).rows
     witness = perfect_witness(t.field.p, t.n, dim)
     return witness is not None, witness, dim
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy._core._exceptions import _ArrayMemoryError
 
-from perfectnt import cli, matrix, reference, transforms
+from perfectnt import cli, matrix, reference, verify
 from perfectnt.cli import main
 from perfectnt.codes import UnsupportedParametersError
 from perfectnt.gf import MAX_LENGTH, PrimeField
@@ -248,7 +248,7 @@ def test_oversized_trial_counts_are_refused_before_drawing(capsys, family, p, m,
     assert err.startswith("error:") and "exceeds the bound 2**24" in err
     (target,) = select_targets(family, p, m, form)
     t = target.build()
-    for check in (lambda: run_target(target, trials=trials), lambda: verify_properties(t, trials)):
+    for check in (lambda: run_target(target, t, trials=trials), lambda: verify_properties(t, trials)):
         start = time.perf_counter()
         with pytest.raises(ValueError, match=r"exceeds the bound 2\*\*24"):
             check()
@@ -420,7 +420,7 @@ def _unable_to_allocate(*args):
 @pytest.mark.parametrize(
     "command,owner,name,replacement",
     [
-        ("verify", transforms, "kernel_basis", _unable_to_allocate),  # eigenspace's basis
+        ("verify", verify, "kernel_basis", _unable_to_allocate),  # the code's basis
         ("eigen", cli, "kernel_basis", _unable_to_allocate),
         ("gen", matrix.Factored, "dense", property(_unable_to_allocate)),  # the N x N view
     ],

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -28,6 +29,7 @@ from perfectnt.matrix import (
     inverse,
     kernel_basis,
     parse_matrix,
+    rref,
 )
 from perfectnt.poly import CyclicRing, FieldPoly, reversed_coefficient_row
 from perfectnt.transforms import (
@@ -41,6 +43,7 @@ from perfectnt.transforms import (
     build_standard,
     eigen_candidates,
     eigenspace,
+    eigenspace_rows,
     format_transform,
     is_perfect_transform,
     verify_properties,
@@ -194,6 +197,14 @@ def test_eigenspace_of_a_rank_deficient_factor():
     es = eigenspace(t)
     assert es.rows == code.k + 1
     assert es == dense_eigenspace(t)
+    # K with row 2 equal to row 0: R*K reduces to two nonzero rows and a zero row,
+    # which eigenspace_rows drops, so the dimension is N - 2
+    k = code.H.data.copy()
+    k[2] = k[0]
+    t = _finish(code, 1, FieldMatrix.identity(GF3, 3), FieldMatrix(GF3, k), t.form)
+    assert eigenspace_rows(t).rows == 2
+    assert is_perfect_transform(t) == (False, None, code.k + 1)
+    assert eigenspace(t) == dense_eigenspace(t)
 
 
 def test_perfectness_verdicts(golden):
@@ -209,6 +220,25 @@ def test_perfectness_verdicts(golden):
     }
     for name, want in expected.items():
         assert is_perfect_transform(golden[name]) == want, name
+
+
+@pytest.mark.parametrize(
+    "build,spec",
+    [(build_cyclic, cyclic_hamming_spec(2, 10)), (build_standard, hamming_parity_check(3, 6))],
+    ids=["cyclic-1023", "standard-364"],
+)
+def test_is_perfect_transform_forms_no_eigenspace_basis(build, spec):
+    # the dimension is N less the count of the reduced rows, at most r x N; one
+    # k x N int64 basis of the eigenspace would exceed this bound four times over
+    t = build(spec, 1)
+    tracemalloc.start()
+    try:
+        got = is_perfect_transform(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (True, 1, spec.k)
+    assert peak < 0.25 * spec.k * spec.N * 8, peak
 
 
 def test_apply_and_inverse_roundtrip(golden):
@@ -706,6 +736,8 @@ def test_eigenspace_from_the_factors_matches_the_dense_reference(golden):
     appendix = [build() for name, build in APPLY_CASES if name.startswith("appendix")]
     for t in [*golden.values(), *appendix, *_cyclic_hamming_builds()]:
         assert eigenspace(t) == dense_eigenspace(t), t
+        reduced, rank, _ = rref(t.matrix - FieldMatrix.identity(t.field, t.n).scaled(t.lam))
+        assert eigenspace_rows(t) == FieldMatrix(t.field, reduced.data[:rank]), t
 
 
 @pytest.mark.parametrize("build", [b for _, b in APPLY_CASES], ids=[n for n, _ in APPLY_CASES])

@@ -1,11 +1,14 @@
+import dataclasses
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from perfectnt import matrix, transforms, verify
+from perfectnt.matrix import FieldMatrix
 from perfectnt.transforms import check_trials, verify_properties
-from perfectnt.verify import GOLDEN_TARGETS, run_target, select_targets
+from perfectnt.verify import GOLDEN_TARGETS, GoldenTarget, run_target, select_targets
 
 
 def test_targets_are_unique_and_covered():
@@ -41,7 +44,7 @@ def test_select_dynamic_hamming_target():
     assert len(picked) == 1
     target = picked[0]
     assert target.name == "hamming-p2-m4-cyclic"
-    summary, checks = run_target(target, trials=20, seed=3)
+    summary, checks = run_target(target, target.build(), trials=20, seed=3)
     assert all(c.passed for c in checks), [c.line() for c in checks if not c.passed]
     assert "det≠0" in summary
 
@@ -53,7 +56,7 @@ def test_select_no_match():
 
 @pytest.mark.parametrize("target", GOLDEN_TARGETS, ids=lambda t: t.name)
 def test_every_golden_target_passes(target):
-    summary, checks = run_target(target, trials=40, seed=5)
+    summary, checks = run_target(target, target.build(), trials=40, seed=5)
     failed = [c.line() for c in checks if not c.passed]
     assert not failed, failed
     assert "det≠0" in summary
@@ -64,7 +67,7 @@ def test_every_golden_target_passes(target):
 @pytest.mark.parametrize("trials", [0, -5])
 def test_trials_below_one_refused(golden, trials):
     with pytest.raises(ValueError, match="trials"):
-        run_target(GOLDEN_TARGETS[0], trials=trials)
+        run_target(GOLDEN_TARGETS[0], GOLDEN_TARGETS[0].build(), trials=trials)
     with pytest.raises(ValueError, match="trials"):
         verify_properties(golden["hamming7-cyclic"], trials=trials)
 
@@ -93,12 +96,68 @@ def test_trial_bound_admits_every_product_up_to_2_pow_24():
     ids=lambda t: t.name,
 )
 def test_run_target_computes_the_eigenspace_once(monkeypatch, target):
-    calls = []
+    # run_target reduces the eigenspace's rows once, and forms its k x N basis
+    # only to compare it with a stored generator
+    rows, bases = [], []
+    real_rows = verify.eigenspace_rows
+    monkeypatch.setattr(verify, "eigenspace_rows", lambda t: rows.append(t) or real_rows(t))
     for module in (transforms, verify):
         real = module.eigenspace
-        monkeypatch.setattr(module, "eigenspace", lambda t, *a, real=real: calls.append(t) or real(t, *a))
-    run_target(target, trials=3, seed=1)
-    assert len(calls) == 1
+        monkeypatch.setattr(module, "eigenspace", lambda t, real=real: bases.append(t) or real(t))
+    run_target(target, target.build(), trials=3, seed=1)
+    assert len(rows) == 1
+    assert len(bases) == (1 if target.name == "hamming74" else 0)
+
+
+def test_a_wrong_eigenspace_fails_its_checks():
+    # (a) one code's factors under another code's H, columns 0 and 5 swapped:
+    # the dimension is k, but the eigenspace is not that code and moves its
+    # codewords. (b) a rank-deficient A: the eigenspace is the code and one
+    # vector more, so every codeword stays fixed
+    target = GoldenTarget("hamming-p3-m3-standard", "hamming", 3, 3, "standard", {})
+    t = target.build()
+    h = t.code.H.data.copy()
+    h[:, [0, 5]] = h[:, [5, 0]]
+    swapped = dataclasses.replace(t, code=dataclasses.replace(t.code, H=FieldMatrix(t.field, h)))
+    a = np.eye(3, dtype=np.int64)
+    a[:, 1] = 0
+    a[2, 0] = 1
+    deficient = transforms._finish(
+        t.code, 1, FieldMatrix(t.field, a), t.code.H, transforms.FORM_STANDARD_NULLROW
+    )
+    unequal = "CHECK eigenspace_equals_code FAIL expected=canonical bases identical got=mismatch"
+    for bad, want in [
+        (swapped, [
+            "CHECK eigenspace_dim PASS expected=10 got=10",
+            unequal,
+            "CHECK codeword_invariance FAIL expected=all 59049 codewords fixed got=moved",
+        ]),
+        (deficient, [
+            "CHECK eigenspace_dim FAIL expected=10 got=11",
+            unequal,
+            "CHECK codeword_invariance PASS expected=all 59049 codewords fixed got=fixed",
+        ]),
+    ]:
+        _, checks = run_target(target, bad, trials=3, seed=1)
+        named = ("eigenspace_dim", "eigenspace_equals_code", "codeword_invariance")
+        assert [c.line() for c in checks if c.name in named] == want
+
+
+@pytest.mark.parametrize("p,m,form", [(2, 10, "cyclic"), (3, 6, "standard")])
+def test_run_target_holds_one_code_basis(p, m, form):
+    # the eigenspace is certified by its reduced rows, so the k x N basis of the
+    # code, built for codeword_invariance, is the one such object; a second,
+    # the eigenspace's own basis, would exceed the bound
+    [target] = select_targets("hamming", p, m, form)
+    t = target.build()
+    tracemalloc.start()
+    try:
+        _, checks = run_target(target, t, trials=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in checks)
+    assert peak < 1.6 * t.code.k * t.n * 8, peak
 
 
 @pytest.mark.parametrize(
@@ -117,7 +176,7 @@ def test_run_target_draws_and_certifies_once(monkeypatch, target):
         "certify_shift_invariance",
         lambda t: certificates.append(t) or real_certify(t),
     )
-    run_target(target, trials=3, seed=1)
+    run_target(target, target.build(), trials=3, seed=1)
     assert len(draws) == 1
     assert len(certificates) == (1 if target.form == "cyclic" else 0)
 
@@ -132,10 +191,10 @@ def test_inverse_is_circulant_by_certificate_or_dense_fallback(monkeypatch, targ
         raise AssertionError("dense circulant comparison on the certified path")
 
     monkeypatch.setattr(transforms, "circulant_from_first_row", refuse)
-    certified = run_target(target, trials=5, seed=2)
+    certified = run_target(target, target.build(), trials=5, seed=2)
     monkeypatch.undo()
     monkeypatch.setattr(transforms, "certify_shift_invariance", lambda t: False)
-    assert run_target(target, trials=5, seed=2) == certified
+    assert run_target(target, target.build(), trials=5, seed=2) == certified
     assert ("inverse_is_circulant", True) in {(c.name, c.passed) for c in certified[1]}
 
 
@@ -151,7 +210,7 @@ def test_dynamic_targets_form_no_dense_view(monkeypatch, p, m, form):
     monkeypatch.setattr(matrix.Factored, "dense", property(refuse))
     [target] = select_targets("hamming", p, m, form)
     assert not target.claims
-    _, checks = run_target(target, trials=3, seed=1)
+    _, checks = run_target(target, target.build(), trials=3, seed=1)
     assert all(check.passed for check in checks)
 
 
