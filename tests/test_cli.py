@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -420,7 +421,7 @@ def _unable_to_allocate(*args):
 @pytest.mark.parametrize(
     "command,owner,name,replacement",
     [
-        ("verify", verify, "kernel_basis", _unable_to_allocate),  # the code's basis
+        ("verify", verify, "rref", _unable_to_allocate),  # the code's reduced rows
         ("eigen", cli, "kernel_basis", _unable_to_allocate),
         ("gen", matrix.Factored, "dense", property(_unable_to_allocate)),  # the N x N view
     ],
@@ -438,6 +439,12 @@ def test_an_allocation_failure_is_one_error_line(capsys, monkeypatch, command, o
     assert command == "eigen" or out == ""  # eigen prints its lambda table first
 
 
+def _child_env(**extra):
+    """The environment of a child interpreter that imports perfectnt from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 @pytest.mark.parametrize(
     "argv", [["eigen", "--code", "golay", "--p", "3"], ["verify", "--trials", "10"]]
 )
@@ -451,11 +458,29 @@ def test_cold_command_does_not_import_numpy_ma(argv):
         f"    status = main({argv!r})\n"
         "print(status, 'numpy.ma' in sys.modules)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=60
+    )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0", "False"]
+
+
+def test_verify_at_n_8191_runs_in_256_mib():
+    # the code's basis is applied in r-row blocks read off rref(H), never held
+    # whole: the (8178, 8191) basis alone would take 511 MiB. The limit is set
+    # on the child only
+    limit = 256 * 2**20
+    argv = ["verify", "--code", "hamming", "--p", "2", "--m", "13", "--form", "cyclic", "--trials", "1"]
+    done = subprocess.run(
+        [sys.executable, "-m", "perfectnt.cli", *argv],
+        env=_child_env(OPENBLAS_NUM_THREADS="1"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("all passed\n"), done.stdout
 
 
 def test_bad_choice_is_argparse_error(capsys):
