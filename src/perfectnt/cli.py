@@ -30,6 +30,11 @@ from .transforms import check_trials, eigen_candidates, format_transform
 from .verify import resolve, run_target, select_targets
 
 
+# gen writes an N x N matrix and eigen a k x N basis; past this many entries
+# (128 MiB in int64) each is refused before anything is built or printed
+MAX_OUTPUT_ENTRIES = 2**24
+
+
 class CliError(Exception):
     """User-facing failure; printed to stderr with exit status 1."""
 
@@ -69,6 +74,14 @@ def _build_transform(args):
     return build(code, args.lam)
 
 
+def _check_output(what: str, rows: int, cols: int) -> None:
+    """Refuse an output of rows x cols entries past MAX_OUTPUT_ENTRIES."""
+    if rows * cols > MAX_OUTPUT_ENTRIES:
+        raise CliError(
+            f"{what} has {rows} x {cols} entries, above the bound 2**24 = {MAX_OUTPUT_ENTRIES}"
+        )
+
+
 def _parse_vector(text: str, p: int, n: int):
     try:
         vals = [int(tok) for tok in text.split(",")]
@@ -93,7 +106,9 @@ def _load_matrix(path: str):
 
 
 def _cmd_gen(args) -> int:
-    t = _build_transform(args)
+    code, build = _resolve(args)
+    _check_output("gen's N x N matrix", code.N, code.N)
+    t = build(code, args.lam)
     text = format_matrix_json(t.matrix) + "\n" if args.json else format_transform(t)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -150,6 +165,7 @@ def _cmd_invert(args) -> int:
 
 def _cmd_eigen(args) -> int:
     spec, build = _resolve(args)
+    _check_output("eigen's k x N eigenspace basis", spec.k, spec.N)
     print(f"code {spec.label} p={spec.field.p} N={spec.N} k={spec.k}")
     for lam, det in eigen_candidates(spec, build):
         status = "admissible" if det != 0 else "unsuitable"
@@ -237,7 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
     ver = subs.add_parser("verify", help="rebuild golden constructions, check claims")
     _add_selector(ver, with_lambda=False)
     ver.add_argument("--trials", type=int, default=1000, help="randomized trials per check")
-    ver.add_argument("--seed", type=int, default=1234, help="RNG seed")
+    ver.add_argument(
+        "--seed",
+        type=int,
+        default=1234,
+        help="seed of the trials' SplitMix64 stream (default: 1234)",
+    )
     # no filter unless the user passes --form: a bare `verify` runs everything
     ver.set_defaults(func=_cmd_verify, form=None)
 

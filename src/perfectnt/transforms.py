@@ -44,6 +44,7 @@ from .gf import PrimeField
 from .matrix import (
     Factored,
     FieldMatrix,
+    _remainder,
     as_vectors,
     circulant_from_first_row,
     determinant,
@@ -388,6 +389,55 @@ def check_trials(trials: int, n: int) -> None:
         )
 
 
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's counter increment, 2**64 over the golden ratio
+_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, None))
+_WORD = 2**64 - 1
+_CHUNK = 2**16  # stream outputs mixed at once, in place in the caller's batch
+
+
+def _mix(z: np.ndarray, scratch: np.ndarray) -> None:
+    """SplitMix64's output function on uint64 counters, in place."""
+    for shift, multiplier in _MIX:
+        np.right_shift(z, shift, out=scratch)
+        np.bitwise_xor(z, scratch, out=z)
+        if multiplier:
+            np.multiply(z, np.uint64(multiplier), out=z)
+
+
+class _TrialStream:
+    """The trials' residues, from one SplitMix64 stream keyed by the seed.
+
+    Output i is mix(key + (i + 1)*gamma) mod 2**64 (Steele, Lea and Flood,
+    "Fast splittable pseudorandom number generators", OOPSLA 2014), so any
+    stretch of the stream is drawn from its counters alone. The key is the
+    seed below 2**64; a longer seed folds its low word with the mixed key of
+    the rest. Each draw continues where the last stopped, and its residues
+    are z mod p, biased by less than p / 2**64.
+    """
+
+    def __init__(self, seed: int):
+        self.key, self.drawn = seed & _WORD, 0
+        if seed >> 64:
+            rest = np.array([_TrialStream(seed >> 64).key], dtype=np.uint64)
+            _mix(rest, np.empty_like(rest))
+            self.key ^= int(rest[0])
+
+    def residues(self, p: int, shape: tuple[int, ...]) -> np.ndarray:
+        """The stream's next residues mod p, as an int64 array of `shape`."""
+        out = np.empty(shape, dtype=np.int64)
+        flat = out.reshape(-1).view(np.uint64)
+        steps = np.arange(1, min(flat.size, _CHUNK) + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        scratch = np.empty_like(steps)
+        for lo in range(0, flat.size, _CHUNK):
+            z = flat[lo : lo + _CHUNK]
+            start = (self.key + (self.drawn + lo) * _GAMMA) & _WORD
+            np.add(steps[: len(z)], np.uint64(start), out=z)
+            _mix(z, scratch[: len(z)])
+            _remainder(z, p)
+        self.drawn += flat.size
+        return out
+
+
 def certify_shift_invariance(t: TransformSpec) -> bool:
     """Whether T and T^-1 commute with the cyclic shift, by r x r algebra.
 
@@ -459,6 +509,8 @@ def verify_properties(t: TransformSpec, trials: int = 1000, seed: int = 1234) ->
     cyclic shift (time shift), the inverse-side converse (frequency shift),
     the constant-sequence rule with the matrix row sum as the scaling
     factor, and agreement of the matrix and polynomial application routes.
+    The trials are read in order from one _TrialStream keyed by the seed: the
+    vectors, the second linearity batch, then the scalars.
 
     One certify_shift_invariance call decides the circulant inverse and the
     two shift checks. When it holds, every shifted product is exact, so the
@@ -469,7 +521,7 @@ def verify_properties(t: TransformSpec, trials: int = 1000, seed: int = 1234) ->
     check_trials(trials, t.n)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
+    stream = _TrialStream(seed)
     p = t.field.p
     n = t.n
     report = PropertyReport(label=t.code.label, trials=trials, seed=seed)
@@ -483,7 +535,7 @@ def verify_properties(t: TransformSpec, trials: int = 1000, seed: int = 1234) ->
             )
         )
 
-    vs = rng.integers(0, p, size=(trials, n), dtype=np.int64)
+    vs = stream.residues(p, (trials, n))
     images = t.apply(vs)
     count_failures("round_trip", np.any(t.apply_inverse(images) != vs, axis=1))
 
@@ -499,8 +551,8 @@ def verify_properties(t: TransformSpec, trials: int = 1000, seed: int = 1234) ->
         report.checks.append(CheckResult("inverse_is_circulant", ok, "circulant closure", got))
 
     # linearity
-    ws = rng.integers(0, p, size=(trials, n), dtype=np.int64)
-    ab = rng.integers(0, p, size=(trials, 2), dtype=np.int64)
+    ws = stream.residues(p, (trials, n))
+    ab = stream.residues(p, (trials, 2))
     lhs = t.apply((ab[:, 0:1] * vs + ab[:, 1:2] * ws) % p)
     rhs = (ab[:, 0:1] * images + ab[:, 1:2] * t.apply(ws)) % p
     count_failures("linearity", np.any(lhs != rhs, axis=1))

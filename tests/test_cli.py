@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy._core._exceptions import _ArrayMemoryError
 
-from perfectnt import cli, matrix, reference, verify
+from perfectnt import cli, matrix, reference, transforms, verify
 from perfectnt.cli import main
 from perfectnt.codes import UnsupportedParametersError
 from perfectnt.gf import MAX_LENGTH, PrimeField
@@ -192,6 +192,8 @@ def test_info_control_is_not_perfect(capsys):
         (["verify", "--form", "standard", "--trials", "1300000"], "1300000 * 13 exceeds"),
         (["verify", "--seed", "-1"], "--seed"),
         (["verify", "--code", "hamming", "--p", "2", "--m", "12", "--seed", "-1", "--trials", "10"], "--seed"),
+        (["gen", "--code", "hamming", "--p", "17", "--m", "4"], "5220 x 5220 entries"),
+        (["eigen", "--code", "hamming", "--p", "2", "--m", "13", "--form", "cyclic"], "8178 x 8191 entries"),
     ],
 )
 def test_error_paths_exit_one(capsys, argv, needle):
@@ -227,6 +229,29 @@ def test_oversized_selector_is_refused_quickly(capsys, command, p, m, form, extr
     with pytest.raises(UnsupportedParametersError, match="maximum N"):
         resolve("hamming", p, m, form)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("command", ["gen", "eigen"])
+def test_oversized_output_is_refused_before_anything_is_built(capsys, monkeypatch, command):
+    # at N = 16383, gen's matrix and eigen's basis would each take 2 GiB; both
+    # are refused before a transform is built, a lambda printed or a basis formed
+    def refuse(*args):
+        raise AssertionError("built past the output bound")
+
+    monkeypatch.setattr(transforms, "_finish", refuse)
+    monkeypatch.setattr(cli, "kernel_basis", refuse)
+    start = time.perf_counter()
+    status, out, err = run(capsys, command, "--code", "hamming", "--p", "2", "--m", "14", "--form", "cyclic")
+    assert time.perf_counter() - start < 1.0
+    assert status == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "above the bound 2**24 = 16777216" in err
+
+
+def test_output_bound_admits_2_pow_24_entries():
+    cli._check_output("gen's N x N matrix", 4096, 4096)
+    with pytest.raises(cli.CliError, match="4096 x 4097 entries, above the bound"):
+        cli._check_output("eigen's k x N eigenspace basis", 4096, 4097)
 
 
 @pytest.mark.parametrize(
@@ -451,18 +476,41 @@ def _child_env(**extra):
 def test_cold_command_does_not_import_numpy_ma(argv):
     # numpy.ma is imported lazily by np.unique and np.setdiff1d, among others;
     # it costs several milliseconds of every cold start
+    assert _cold_main([argv], "numpy.ma") == ([0], False)
+
+
+def test_no_cold_command_imports_numpy_random():
+    # numpy.random brings secrets, hashlib and hmac with it, about 6 MB of a
+    # cold start; verify draws its trials from its own stream
+    golay = ["--code", "golay", "--p", "3", "--form", "cyclic"]
+    vector = ["--vector", "0,1,2,0,2,1,1,0,0,2,1"]
+    argvs = [
+        ["verify", "--code", "golay", "--trials", "5"],
+        ["gen", *golay],
+        ["eigen", *golay],
+        ["apply", *golay, *vector],
+        ["invert", *golay, *vector],
+        ["info", *golay],
+    ]
+    assert _cold_main(argvs, "numpy.random") == ([0] * 6, False)
+
+
+def _cold_main(argvs: list[list[str]], module: str) -> tuple[list[int], bool]:
+    """Exit statuses of main(argv) for each argv in turn, in one fresh
+    interpreter, and whether `module` was imported by then."""
     code = (
         "import contextlib, io, sys\n"
         "from perfectnt.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    status = main({argv!r})\n"
-        "print(status, 'numpy.ma' in sys.modules)\n"
+        f"    statuses = [main(argv) for argv in {argvs!r}]\n"
+        f"print(*statuses, {module!r} in sys.modules)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "False"]
+    *statuses, imported = done.stdout.split()
+    return [int(s) for s in statuses], imported == "True"
 
 
 def test_verify_at_n_8191_runs_in_256_mib():

@@ -76,7 +76,7 @@ def test_negative_seed_refused_before_any_draw(golden, monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew with a negative seed")
 
-    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    monkeypatch.setattr(transforms, "_TrialStream", no_draw)
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
         verify_properties(golden["hamming7-cyclic"], seed=-1)
 
@@ -185,15 +185,17 @@ def test_run_target_draws_and_certifies_once(monkeypatch, target):
     # the round trip, the circulant inverse and the shift checks share one
     # seeded batch and one shift certificate
     draws, certificates = [], []
-    real_rng, real_certify = np.random.default_rng, transforms.certify_shift_invariance
-    monkeypatch.setattr(np.random, "default_rng", lambda *a: draws.append(a) or real_rng(*a))
+    real_stream, real_certify = transforms._TrialStream, transforms.certify_shift_invariance
+    monkeypatch.setattr(
+        transforms, "_TrialStream", lambda *a: draws.append(a) or real_stream(*a)
+    )
     monkeypatch.setattr(
         transforms,
         "certify_shift_invariance",
         lambda t: certificates.append(t) or real_certify(t),
     )
     run_target(target, target.build(), trials=3, seed=1)
-    assert len(draws) == 1
+    assert draws == [(1,)]
     assert len(certificates) == (1 if target.form == "cyclic" else 0)
 
 
