@@ -121,6 +121,24 @@ def dense_eigenspace(t) -> FieldMatrix:
     return kernel_basis(t.matrix - FieldMatrix.identity(t.field, t.n).scaled(t.lam))
 
 
+def code_in_eigenspace_by_blocks(t) -> bool:
+    """Whether T c = lambda*c for every codeword c of t.code, by applying T to a
+    basis of ker H in r-row blocks. The basis is read off rref(H), r free
+    columns at a time: the vector of free column f has a 1 at f and minus
+    column f of the reduced rows at the pivots."""
+    p, r = t.field.p, t.code.redundancy
+    reduced, rank, pivots = rref(t.code.H)
+    pivots = list(pivots)
+    free = np.delete(np.arange(t.n), pivots)
+    for cols in np.split(free, range(r, free.size, r)):
+        block = np.zeros((cols.size, t.n), dtype=np.int64)
+        block[np.arange(cols.size), cols] = 1
+        block[:, pivots] = -reduced.data[:rank, cols].T % p
+        if not np.array_equal(t.apply(block), t.lam * block % p):
+            return False
+    return True
+
+
 def ring_inverse(ring: CyclicRing, c: FieldPoly) -> tuple[int, FieldPoly | None]:
     """(Res(x^n - 1, c), c^-1 or None) from one Euclidean remainder sequence.
 

@@ -513,12 +513,19 @@ def _cold_main(argvs: list[list[str]], module: str) -> tuple[list[int], bool]:
     return [int(s) for s in statuses], imported == "True"
 
 
-def test_verify_at_n_8191_runs_in_256_mib():
-    # the code's basis is applied in r-row blocks read off rref(H), never held
-    # whole: the (8178, 8191) basis alone would take 511 MiB. The limit is set
-    # on the child only
-    limit = 256 * 2**20
-    argv = ["verify", "--code", "hamming", "--p", "2", "--m", "13", "--form", "cyclic", "--trials", "1"]
+@pytest.mark.parametrize(
+    "m,trials,limit",
+    [
+        pytest.param(13, 1, 256 * 2**20, id="n8191-256mib"),
+        pytest.param(14, 10, 2**30, id="n16383-1gib"),
+    ],
+)
+def test_verify_at_large_n_runs_under_a_memory_cap(m, trials, limit):
+    # no basis of the code is formed: codeword invariance is read off the
+    # eigenspace's rows and rref(H), while the (8178, 8191) basis alone would
+    # take 511 MiB. The limit is set on the child only
+    argv = ["verify", "--code", "hamming", "--p", "2", "--m", str(m), "--form", "cyclic"]
+    argv += ["--trials", str(trials)]
     done = subprocess.run(
         [sys.executable, "-m", "perfectnt.cli", *argv],
         env=_child_env(OPENBLAS_NUM_THREADS="1"),

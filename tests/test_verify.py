@@ -1,14 +1,24 @@
 import dataclasses
+import itertools
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from helpers import code_in_eigenspace_by_blocks
 from perfectnt import matrix, transforms, verify
+from perfectnt.codes import UnsupportedParametersError
+from perfectnt.gf import is_prime
 from perfectnt.matrix import FieldMatrix
-from perfectnt.transforms import check_trials, verify_properties
-from perfectnt.verify import GOLDEN_TARGETS, GoldenTarget, run_target, select_targets
+from perfectnt.transforms import EigenvalueUnsuitableError, check_trials, verify_properties
+from perfectnt.verify import (
+    GOLDEN_LAMBDA,
+    GOLDEN_TARGETS,
+    GoldenTarget,
+    run_target,
+    select_targets,
+)
 
 
 def test_targets_are_unique_and_covered():
@@ -96,10 +106,15 @@ def test_trial_bound_admits_every_product_up_to_2_pow_24():
     ids=lambda t: t.name,
 )
 def test_run_target_computes_the_eigenspace_once(monkeypatch, target):
-    # run_target reduces the eigenspace's rows once and H once, and forms the
-    # eigenspace's k x N basis only to compare it with a stored generator
+    # run_target reduces the eigenspace's rows once and H once, forms the
+    # eigenspace's k x N basis only to compare it with a stored generator, and
+    # applies T only in verify_properties
     t = target.build()
-    rows, bases, reductions = [], [], []
+    rows, bases, reductions, applies = [], [], [], []
+    real_apply = transforms.TransformSpec.apply
+    monkeypatch.setattr(
+        transforms.TransformSpec, "apply", lambda t, v: applies.append(v) or real_apply(t, v)
+    )
     real_rows = verify.eigenspace_rows
     monkeypatch.setattr(verify, "eigenspace_rows", lambda t: rows.append(t) or real_rows(t))
     for module in (transforms, verify):
@@ -112,6 +127,10 @@ def test_run_target_computes_the_eigenspace_once(monkeypatch, target):
     assert len(rows) == 1
     assert len(bases) == (1 if target.name == "hamming74" else 0)
     assert sum(np.shares_memory(m.data, t.code.H.data) for m in reductions) == 1
+    during_run = len(applies)
+    applies.clear()
+    verify_properties(target.build(), trials=3, seed=1)
+    assert during_run == len(applies) > 0
 
 
 def test_a_wrong_eigenspace_fails_its_checks():
@@ -119,8 +138,9 @@ def test_a_wrong_eigenspace_fails_its_checks():
     # the dimension is k, but the eigenspace is not that code and moves its
     # codewords. (b) a rank-deficient A: the eigenspace is the code and one
     # vector more, so every codeword stays fixed. (c) H with only its last free
-    # column, 12, changed: the basis is applied in blocks of 3+3+3+1, and only
-    # the vector in the final block moves
+    # column, 12, changed: of the free-column basis of ker H only the vector of
+    # column 12 moves, the one in the last of the reference's blocks of 3+3+3+1.
+    # Each verdict is the one of applying T to the code's basis
     target = GoldenTarget("hamming-p3-m3-standard", "hamming", 3, 3, "standard", {})
     t = target.build()
     with_h = lambda h: dataclasses.replace(t, code=dataclasses.replace(t.code, H=FieldMatrix(t.field, h)))
@@ -157,13 +177,58 @@ def test_a_wrong_eigenspace_fails_its_checks():
         _, checks = run_target(target, bad, trials=3, seed=1)
         named = ("eigenspace_dim", "eigenspace_equals_code", "codeword_invariance")
         assert [c.line() for c in checks if c.name in named] == want
+        assert _invariance_verdict(checks) == code_in_eigenspace_by_blocks(bad)
+
+
+def _invariance_verdict(checks) -> bool:
+    [check] = [c for c in checks if c.name == "codeword_invariance"]
+    return check.passed
+
+
+def _hamming_builds_up_to_400():
+    """Every Hamming selector with N <= 400, in both forms, that builds at lambda = 1."""
+    out = []
+    for p in filter(is_prime, range(2, 400)):
+        for m in itertools.count(2):
+            if (p**m - 1) // (p - 1) > 400:
+                break
+            for form in ("standard", "cyclic"):
+                target = GoldenTarget(f"hamming-p{p}-m{m}-{form}", "hamming", p, m, form, {})
+                try:
+                    target.build()
+                except (UnsupportedParametersError, EigenvalueUnsuitableError):
+                    continue
+                out.append(pytest.param(target, GOLDEN_LAMBDA, id=target.name))
+    return out
+
+
+@pytest.mark.parametrize(
+    "target,lam",
+    [
+        *(pytest.param(t, GOLDEN_LAMBDA, id=t.name) for t in GOLDEN_TARGETS),
+        *_hamming_builds_up_to_400(),
+        pytest.param(
+            GoldenTarget("hamming-p5-m2-standard", "hamming", 5, 2, "standard", {}),
+            2,
+            id="hamming-p5-m2-standard-lambda2",
+        ),
+    ],
+)
+def test_codeword_invariance_agrees_with_applying_t_to_the_code(target, lam):
+    # the verdict read off the eigenspace's rows and rref(H) is the one of
+    # comparing T b with lambda*b on a basis of the code
+    code, build = verify.resolve(target.family, target.p, target.m, target.form)
+    t = build(code, lam)
+    _, checks = run_target(target, t, trials=1)
+    assert _invariance_verdict(checks) == code_in_eigenspace_by_blocks(t)
+    assert _invariance_verdict(checks)
 
 
 @pytest.mark.parametrize("p,m,form", [(2, 10, "cyclic"), (3, 6, "standard")])
 def test_run_target_holds_no_code_basis(p, m, form):
     # the eigenspace is certified by its reduced rows, and codeword_invariance
-    # applies the code's basis in r-row blocks read off rref(H): no k x N basis
-    # is held, so the peak is a small multiple of r x N
+    # by their product with rref(H): no k x N basis is held, so the peak is a
+    # small multiple of r x N
     [target] = select_targets("hamming", p, m, form)
     t = target.build()
     tracemalloc.start()
