@@ -1,12 +1,12 @@
 """Transform construction: inflate a parity check to N x N and add lambda*I.
 
 A code's parity-check matrix H has shape (N-k) x N. Inflation extends it
-to a square matrix H_e whose extra k rows are either zeros (build_standard),
-sums of pairs of parity rows (build_extended_golay), or — when the code is
-cyclic — the remaining cyclic shifts that complete the circulant
-(build_cyclic). Each builder is the one place that knows its inflation.
-Every inflation adds only rows in H's row space, so ker H_e = ker H. The
-transform is then
+to a square matrix H_e whose extra k rows are either zeros (build_standard,
+which build_appendix_systematic calls on a systematic [-P^T | I]), sums of
+pairs of parity rows (build_extended_golay), or — when the code is cyclic —
+the remaining cyclic shifts that complete the circulant (build_cyclic). Each
+builder is the one place that knows its inflation. Every inflation adds only
+rows in H's row space, so ker H_e = ker H. The transform is then
 
     T = H_e + lambda * I
 
@@ -17,7 +17,7 @@ inverse on the one side and a parity check on the other.
 
 So H_e = A*K with K r x N spanning H's row space (r = N-k), and TransformSpec
 keeps T = lambda*I + A*K with only A's first m rows, the rest being zero (m = r
-for null rows and the appendix, else N). One tail certifies every build by r x r
+for null rows, else N). One tail certifies every build by r x r
 algebra: det T = lambda^(N-r) det(lambda*I_r + K*A) (Sylvester), and T^-1 =
 lambda^-1 I + A'*K with A' = -lambda^-1 A (lambda*I_r + K*A)^-1 (Woodbury), the
 same form. Each side is one matrix.Factored operand, which resolves its float
@@ -59,7 +59,6 @@ from .poly import FieldPoly
 FORM_STANDARD_NULLROW = "standard_nullrow"
 FORM_STANDARD_COMBO = "standard_combo"
 FORM_CYCLIC = "cyclic"
-FORM_APPENDIX = "appendix_systematic"
 
 # Row pairs whose sums complete the 6 x 12 extended ternary parity check
 # to a square matrix (indices into the parity rows, applied in order).
@@ -222,31 +221,27 @@ def build_extended_golay(code: CodeSpec, lam: int) -> TransformSpec:
 
 
 def build_appendix_systematic(p_block: FieldMatrix, lam: int) -> TransformSpec:
-    """Transform assembled blockwise from a systematic code's P block.
+    """The null-row build of the systematic code H = [-P^T | I_r].
 
-    Given the k x (N-k) block P of a systematic generator [I | P], the
-    parity check is H = [-P^T | I] and the transform is assembled
-    directly as
+    P is the k x r block of a systematic generator [I | P], r = N - k. For
+    r <= k, T is the appendix block matrix
 
         [ lambda*I - P^T | I        ]
         [ 0              | lambda*I ]
 
-    with rectangular identities where the blocks are not square: A = I_r.
-    For N - k <= k this equals the null-row standard build on the same H.
-    lambda = 0 always gives a singular matrix, and unusual P blocks can
-    be singular at nonzero lambda too; the determinant check rejects both.
+    with rectangular identities where the blocks are not square. For r > k
+    its lambda*I and I blocks overlap, the rows where they do leave H's row
+    space, and that matrix's eigenspace is not the code; the null-row build
+    is used for every shape. lambda = 0 always gives a singular matrix, and
+    unusual P blocks can be singular at nonzero lambda too; the determinant
+    check rejects both.
     """
-    field, lam = p_block.field, lam % p_block.field.p
+    field = p_block.field
     k, r = p_block.shape
     n = k + r
     minus_p_t = p_block.transpose().scaled(-1)
     h_matrix = FieldMatrix(field, np.hstack([minus_p_t.data, np.eye(r, dtype=np.int64)]))
-    code = CodeSpec(field, n, k, None, h_matrix, None, f"systematic({n},{k})")
-    # the top block less lambda*[I_r | 0]: H, less lambda where the top's
-    # lambda*I and I blocks overlap (r > k)
-    k_matrix = h_matrix.data - lam * np.eye(r, n, dtype=np.int64) * (np.arange(n) >= k)
-    k_matrix = FieldMatrix(field, k_matrix)
-    return _finish(code, lam, FieldMatrix.identity(field, r), k_matrix, FORM_APPENDIX)
+    return build_standard(CodeSpec(field, n, k, None, h_matrix, None, f"systematic({n},{k})"), lam)
 
 
 # -- eigenstructure ------------------------------------------------------------

@@ -34,6 +34,7 @@ from perfectnt.matrix import (
 from perfectnt.poly import CyclicRing, FieldPoly, reversed_coefficient_row
 from perfectnt.transforms import (
     EXTENDED_GOLAY_COMBINATION_PAIRS,
+    FORM_STANDARD_NULLROW,
     EigenvalueUnsuitableError,
     _finish,
     apply_via_polynomial,
@@ -510,7 +511,7 @@ def test_appendix_matches_null_row_standard():
     assert t_app.matrix == t_std.matrix
     assert t_app.inverse_matrix == t_std.inverse_matrix
     assert t_app.code.H == spec.H
-    assert t_app.form == "appendix_systematic"
+    assert t_app.form == FORM_STANDARD_NULLROW
 
     # same agreement for the [7,4] binary fixture
     h74 = hamming74_systematic()
@@ -547,6 +548,26 @@ def test_appendix_eigenspace_is_code():
     assert t.inverse_matrix == inverse(t.matrix)
     for v in np.random.default_rng(3).integers(0, 3, size=(5, 5)):
         assert np.array_equal(t.apply_inverse(v), t.inverse_matrix.mat_vec(v))
+
+    # r > k, where the appendix block matrix's eigenspace is not the code: the
+    # APPLY_CASES block, and seeded blocks over small fields at every lambda
+    # each admits
+    built = [dict(APPLY_CASES)["appendix-r>k"]()]
+    rng = np.random.default_rng(32)
+    for p in (2, 3, 5, 7):
+        for k, r in ((k, r) for r in range(2, 6) for k in range(1, r)):
+            for _ in range(3):
+                p_block = FieldMatrix(PrimeField(p), rng.integers(0, p, size=(k, r)))
+                for lam in range(p):
+                    try:
+                        built.append(build_appendix_systematic(p_block, lam))
+                    except EigenvalueUnsuitableError:
+                        continue
+    assert len(built) > 200
+    for t in built:
+        reduced, rank, _ = rref(t.code.H)
+        assert t.code.k < t.code.redundancy
+        assert eigenspace_rows(t) == FieldMatrix(t.field, reduced.data[:rank]), t
 
 
 def test_transform_serialization_header():
@@ -786,6 +807,9 @@ def test_eigenspace_from_the_factors_matches_the_dense_reference(golden):
         assert eigenspace(t) == dense_eigenspace(t), t
         reduced, rank, _ = rref(t.matrix - FieldMatrix.identity(t.field, t.n).scaled(t.lam))
         assert eigenspace_rows(t) == FieldMatrix(t.field, reduced.data[:rank]), t
+        # K's rows lie in H's row space: rank [H; K] = rank H
+        stacked = FieldMatrix(t.field, np.vstack([t.code.H.data, t._forward.k.data]))
+        assert rref(stacked)[1] == rref(t.code.H)[1], t
 
 
 @pytest.mark.parametrize("build", [b for _, b in APPLY_CASES], ids=[n for n, _ in APPLY_CASES])
