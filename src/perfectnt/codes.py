@@ -16,7 +16,7 @@ checks them (rank, minimum distance by exhaustive enumeration over
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from itertools import product
 
 import numpy as np
@@ -35,8 +35,10 @@ class CodeSpec:
     """An [N, k, d] linear code over GF(p), given by its parity check.
 
     h is the check polynomial for cyclic codes (ascending coefficients,
-    degree k, divides x^N - 1) and None otherwise. d may be None when no
-    distance is claimed for the code.
+    degree k, divides x^N - 1) and None otherwise. g = (x^N - 1)/h, the
+    generator polynomial, is the quotient of the one division that checks
+    h, kept here; it is None when h is. d may be None when no distance is
+    claimed for the code.
     """
 
     field: PrimeField
@@ -46,6 +48,7 @@ class CodeSpec:
     H: FieldMatrix
     h: FieldPoly | None
     label: str
+    g: FieldPoly | None = dataclass_field(init=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if not (0 <= self.k < self.N):
@@ -68,8 +71,10 @@ class CodeSpec:
                     f"check polynomial degree {self.h.degree} != k = {self.k}"
                 )
             modulus = FieldPoly.monomial(self.field, self.N) - FieldPoly.one(self.field)
-            if not (modulus % self.h).is_zero():
+            g, remainder = divmod(modulus, self.h)
+            if not remainder.is_zero():
                 raise ValueError("check polynomial does not divide x^N - 1")
+            object.__setattr__(self, "g", g)
 
     @property
     def redundancy(self) -> int:
@@ -129,14 +134,6 @@ def _hamming_length(p: int, m: int) -> int:
     return n
 
 
-def _x_power_is_one(g: FieldPoly, e: int) -> bool:
-    """True when x^e = 1 modulo the monic g (square-and-multiply on remainders)."""
-    x, r = FieldPoly.monomial(g.field, 1), FieldPoly.one(g.field)
-    for bit in bin(e)[2:]:
-        r = (r * r * x if bit == "1" else r * r) % g
-    return r.coeffs == (1,)
-
-
 def cyclic_hamming_parity_poly(p: int, m: int) -> FieldPoly:
     """Check polynomial h(x) = (x^N - 1)/g(x) for the cyclic Hamming code.
 
@@ -148,9 +145,11 @@ def cyclic_hamming_parity_poly(p: int, m: int) -> FieldPoly:
     Hamming code only exists when gcd(N, p-1) = 1 (always true for
     p = 2); otherwise the order-N construction yields a code with
     repeated projective points and minimum distance 2, so it is
-    rejected.
+    rejected. The CodeSpec built on h gets g back as its `g`, the
+    quotient of the division that checks h.
 
-    Only the order of x mod g is tested: order N implies irreducibility.
+    Only the order of x mod g is tested, by pow(x, e, g), which reduces
+    after every step: order N implies irreducibility.
     N = (p^m - 1)/(p - 1) = 1 mod p, so x^N - 1 is squarefree. If g
     split into t >= 2 irreducible factors of degrees d_i, the order of x
     would divide lcm(p^d_i - 1), which is at most
@@ -163,17 +162,14 @@ def cyclic_hamming_parity_poly(p: int, m: int) -> FieldPoly:
             f"no cyclic representation: gcd({n}, {p - 1}) != 1, so no cyclic code "
             f"of length {n} over GF({p}) is equivalent to the Hamming code"
         )
-    modulus = FieldPoly.monomial(field, n) - FieldPoly.one(field)
+    x, one = FieldPoly.monomial(field, 1), FieldPoly.one(field)
     cofactors = [n // q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
     for high in product(range(p), repeat=m):
         g = FieldPoly(tuple(reversed(high)) + (1,), field)
         # x^n = 1 mod g means g | x^n - 1; the order of x is exactly n
         # when x^(n/q) != 1 for every prime q | n
-        if (
-            _x_power_is_one(g, n)
-            and not any(_x_power_is_one(g, d) for d in cofactors)
-        ):
-            return modulus // g
+        if pow(x, n, g) == one and not any(pow(x, d, g) == one for d in cofactors):
+            return (FieldPoly.monomial(field, n) - one) // g
     raise UnsupportedParametersError(
         f"no cyclic representation: no monic irreducible degree-{m} divisor of "
         f"x^{n}-1 over GF({p}) has order {n}"

@@ -572,8 +572,9 @@ def parse_matrix(text: str) -> FieldMatrix:
             raise ValueError('JSON matrix needs "rows" of integer lists')
         return FieldMatrix(PrimeField(p), rows)
     lines = [ln.strip() for ln in s.splitlines() if ln.strip()]
-    first = lines[0].split()
-    if not all(tok.lstrip("-").isdigit() for tok in first):
+    try:  # the dimension line's own rule: every token is one int() accepts
+        [int(tok) for tok in lines[0].split()]
+    except ValueError:
         lines = lines[1:]  # skip a header line such as "transform form=... lambda=..."
         if not lines:
             raise ValueError("matrix input has a header but no dimension line")

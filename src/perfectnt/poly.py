@@ -105,16 +105,15 @@ class FieldPoly:
                 acc[i + j] = (acc[i + j] + a * b) % p
         return FieldPoly(tuple(acc), self.field)
 
-    def __pow__(self, e: int) -> "FieldPoly":
+    def __pow__(self, e: int, modulus: "FieldPoly | None" = None) -> "FieldPoly":
+        """self**e by the bits of e from the top; pow(self, e, g) reduces mod g after each."""
         if e < 0:
             raise ValueError("exponent must be nonnegative")
         result = FieldPoly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        for bit in bin(e)[2:]:
+            result = result * result * self if bit == "1" else result * result
+            if modulus is not None:
+                result = result % modulus
         return result
 
     def __divmod__(self, other: "FieldPoly") -> tuple["FieldPoly", "FieldPoly"]:

@@ -54,7 +54,6 @@ from .matrix import (
     mulmod,
     rref,
 )
-from .poly import FieldPoly
 
 FORM_STANDARD_NULLROW = "standard_nullrow"
 FORM_STANDARD_COMBO = "standard_combo"
@@ -303,9 +302,11 @@ def is_perfect_transform(t: TransformSpec) -> tuple[bool, int | None, int]:
 def apply_via_polynomial(t: TransformSpec, v) -> np.ndarray:
     """Apply a cyclic transform as multiplication in GF(p)[x]/(x^n - 1).
 
-    Independent of the matrix product route: it reads lambda and the code's
-    check polynomial h, never A, K or T. T multiplies by lambda + x^r h(x)
-    mod x^n - 1, r = n - deg h (see build_cyclic). With g = (x^n - 1)/h and
+    Independent of the matrix product route: it reads lambda, the code's
+    check polynomial h and its generator polynomial g = (x^n - 1)/h, never
+    A, K or T. g is the code's own (CodeSpec.g, kept from the division that
+    checked h), so no FieldPoly is divided here. T multiplies by
+    lambda + x^r h(x) mod x^n - 1, r = n - deg h (see build_cyclic). With
     s = v mod g, h*v = h*s mod x^n - 1, and deg(h*s) < n, so that product
     does not wrap: v is divided by g (n - r steps), s multiplied by h (one
     step per nonzero coefficient of h), the product rotated by r and lambda*v
@@ -315,10 +316,9 @@ def apply_via_polynomial(t: TransformSpec, v) -> np.ndarray:
     if t.form != FORM_CYCLIC:
         raise ValueError(f"polynomial application needs a cyclic transform, got {t.form}")
     vs = t._vectors(v)
-    field, h, n = t.field, t.code.h, t.n
+    field, h, g, n = t.field, t.code.h, t.code.g, t.n
     p, k = field.p, h.degree
     r = n - k
-    g = (FieldPoly.monomial(field, n) - FieldPoly.one(field)) // h
     # x^r = tail(x) mod g: the lower terms of g over its leading coefficient, negated
     lead_inv = field.inv(g.coeffs[-1])
     tail = np.array([-c * lead_inv % p for c in g.coeffs[:-1]], dtype=np.int64)[:, None]

@@ -193,6 +193,38 @@ def test_cyclic_hamming_spec_golden_rows():
     assert spec.label.endswith("-cyclic")
 
 
+def _admitted_cyclic_hamming_specs(max_n):
+    """cyclic_hamming_spec(p, m) for every (p, m) with N <= max_n that it admits."""
+    specs = []
+    for p in filter(is_prime, range(2, max_n)):
+        for m in range(2, max_n.bit_length() + 1):
+            if (p**m - 1) // (p - 1) <= max_n:
+                try:
+                    specs.append(cyclic_hamming_spec(p, m))
+                except UnsupportedParametersError:
+                    pass
+    return specs
+
+
+def test_cyclic_specs_keep_g_from_the_division_that_checks_h():
+    # CodeSpec divides x^N - 1 by h once, refusing a remainder, and keeps the
+    # quotient g: g*h = x^N - 1 for both cyclic Golay codes and all 12 cyclic
+    # Hamming selectors with N <= 400
+    cyclic = _admitted_cyclic_hamming_specs(400)
+    assert len(cyclic) == 12
+    for spec in cyclic + [golay_spec("binary"), golay_spec("ternary")]:
+        modulus = FieldPoly.monomial(spec.field, spec.N) - FieldPoly.one(spec.field)
+        assert spec.g * spec.h == modulus, spec
+    for spec in (
+        hamming_parity_check(3, 3),
+        hamming74_systematic(),
+        golay_spec("ternary_systematic"),
+        golay_spec("extended_ternary"),
+        shortened_hamming_6_3(),
+    ):
+        assert spec.h is None and spec.g is None, spec
+
+
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (3, 3)])
 def test_cyclic_hamming_distance_is_three(p, m):
     spec = cyclic_hamming_spec(p, m)
@@ -268,7 +300,7 @@ def test_code_spec_validation():
             FieldPoly((1, 1), GF2),
             "bad-h",
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"does not divide x\^N - 1"):
         # degree-4 polynomial that does not divide x^7 - 1
         CodeSpec(
             GF2,

@@ -938,7 +938,7 @@ def test_parse_matrix_errors():
         parse_matrix("2 2 2\n1 0\n")  # missing row
     with pytest.raises(ValueError):
         parse_matrix("2 1 3\n1 0\n")  # short row
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected dimension line"):
         parse_matrix("2 2\n1 0\n0 1\n")  # bad dimension line
     with pytest.raises(ValueError):
         parse_matrix('{"rows": [[1]]}')  # missing p
@@ -949,3 +949,7 @@ def test_parse_matrix_errors():
     with pytest.raises(ValueError, match="int64"):
         parse_matrix("2 1 2\n1 -9223372036854775809\n")
     assert parse_matrix("7 2 2\n-1 9223372036854775807\n0 +3\n").tolist() == [[6, 0], [0, 3]]
+    # a dimension line is one whose tokens int() all accepts, with or without a
+    # header above it, so a leading + is a sign there, not a header
+    for text in ("+7 2 2\n1 0\n0 1\n", "transform form=cyclic\n+7 2 2\n1 0\n0 1\n"):
+        assert parse_matrix(text) == FieldMatrix(PrimeField(7), [[1, 0], [0, 1]]), text

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -78,6 +80,21 @@ def test_power():
     assert a**3 == a * a * a
     with pytest.raises(ValueError):
         a ** -1
+    # pow(f, e, g) reduces after every step and agrees with reducing f**e once,
+    # for f of degree below, at and above that of the monic g
+    rng = random.Random(33)
+    for p in (2, 3, 5, 7):
+        field = PrimeField(p)
+        for deg_f, deg_g in ((1, 3), (2, 4), (4, 4), (6, 3), (5, 1)):
+            f = FieldPoly(tuple(rng.randrange(p) for _ in range(deg_f)) + (rng.randrange(1, p),), field)
+            g = FieldPoly(tuple(rng.randrange(p) for _ in range(deg_g)) + (1,), field)
+            power = FieldPoly.one(field)  # f**e by repeated multiplication
+            for e in range(65):
+                assert f**e == power, (p, f, e)
+                assert pow(f, e, g) == (f**e) % g, (p, f, g, e)
+                power = power * f
+            with pytest.raises(ValueError):
+                pow(f, -1, g)
 
 
 def test_divmod_recovers_generator():

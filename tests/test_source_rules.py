@@ -259,3 +259,49 @@ def test_factors_are_attached_only_to_transform_views():
     assert sites == {"matrix.py:Factored.dense", "matrix.py:FieldMatrix.transpose"}, sites
     assert setters == {"matrix.py:FieldMatrix.__init__", "matrix.py:FieldMatrix._wrap"}, setters
     assert stores == {"matrix.py:FieldMatrix", "matrix.py:FieldMatrix._set"}, stores
+
+
+def _monomial_calls(tree: ast.AST) -> list[int]:
+    """Lines calling `<anything>.monomial(...)`, the way x^N - 1 is formed."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "monomial"
+    ]
+
+
+def _imports_from(tree: ast.AST, module: str) -> list[int]:
+    """Lines importing the package module `module` or a name from it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(name.rsplit(".", 1)[-1] == module for name in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_x_to_the_n_minus_one_is_divided_only_in_codes():
+    # a cyclic code's CodeSpec divides x^N - 1 by h once and keeps g, so no
+    # other module forms x^N - 1, and the polynomial route in transforms.py
+    # reads g off the code instead of dividing through poly
+    snippet = (
+        "from .poly import FieldPoly\nimport perfectnt.poly\nfrom . import poly\n"
+        "from .polys import x\nFieldPoly.monomial(f, n)\nx.mono(1)\n"
+    )
+    tree = ast.parse(snippet)
+    assert (_monomial_calls(tree), _imports_from(tree, "poly")) == ([5], [1, 2, 3])
+    trees = _package_trees()
+    stray = [
+        f"{name}:{line}"
+        for name, tree in trees.items()
+        if name != "codes.py"
+        for line in _monomial_calls(tree)
+    ]
+    assert not stray, f"FieldPoly.monomial called outside codes.py: {stray}"
+    assert _monomial_calls(trees["codes.py"])
+    assert not _imports_from(trees["transforms.py"], "poly"), "transforms.py imports from poly"

@@ -282,6 +282,24 @@ def test_apply_via_polynomial_agrees(golden):
         apply_via_polynomial(golden["hamming7-cyclic"], [[10**20] + [0] * 6])
 
 
+def test_apply_via_polynomial_divides_no_polynomial(golden, monkeypatch):
+    # the route reads g off the code, whose check of h already made the one
+    # division of x^N - 1, so applying a built transform divides no FieldPoly
+    built = [golden[name] for name in ("hamming7-cyclic", "golay11-cyclic", "golay23-cyclic")]
+    built.append(build_cyclic(cyclic_hamming_spec(2, 8), 1))
+    calls = []
+    real_divmod = FieldPoly.__divmod__
+    monkeypatch.setattr(FieldPoly, "__divmod__", lambda a, b: calls.append(1) or real_divmod(a, b))
+    rng = np.random.default_rng(33)
+    for t in built:
+        v = rng.integers(0, t.field.p, size=(3, t.n))
+        assert np.array_equal(apply_via_polynomial(t, v), t.apply(v)), t
+        assert np.array_equal(apply_via_polynomial(t, v[0]), t.apply(v[0])), t
+    assert calls == []
+    built[0].code.h % built[0].code.g  # the counter does see a division
+    assert calls == [1]
+
+
 def test_impulse_is_first_column(golden):
     for t in golden.values():
         delta = np.zeros(t.n, dtype=np.int64)
