@@ -69,11 +69,6 @@ def _resolve(args):
     return resolve(args.code, args.p, args.m, args.form)
 
 
-def _build_transform(args):
-    code, build = _resolve(args)
-    return build(code, args.lam)
-
-
 def _check_output(what: str, rows: int, cols: int) -> None:
     """Refuse an output of rows x cols entries past MAX_OUTPUT_ENTRIES."""
     if rows * cols > MAX_OUTPUT_ENTRIES:
@@ -148,7 +143,8 @@ def _apply_like(args, inverted: bool) -> int:
         else:
             out = matrix.mat_vec(_parse_vector(args.vector, matrix.field.p, matrix.cols))
     else:
-        t = _build_transform(args)
+        code, build = _resolve(args)
+        t = build(code, args.lam)
         vec = _parse_vector(args.vector, t.field.p, t.n)
         out = t.apply_inverse(vec) if inverted else t.apply(vec)
     print(",".join(str(int(x)) for x in out))

@@ -35,10 +35,10 @@ class CodeSpec:
     """An [N, k, d] linear code over GF(p), given by its parity check.
 
     h is the check polynomial for cyclic codes (ascending coefficients,
-    degree k, divides x^N - 1) and None otherwise. g = (x^N - 1)/h, the
-    generator polynomial, is the quotient of the one division that checks
-    h, kept here; it is None when h is. d may be None when no distance is
-    claimed for the code.
+    degree k, divides x^N - 1) and None otherwise. Two derived objects are
+    kept from the checks that produce them: `reduced` and `pivots`, rref(H)
+    and its pivot columns, from the elimination that checks H's rank, and
+    g = (x^N - 1)/h, from the division that checks h (None when h is).
     """
 
     field: PrimeField
@@ -49,6 +49,8 @@ class CodeSpec:
     h: FieldPoly | None
     label: str
     g: FieldPoly | None = dataclass_field(init=False, compare=False, default=None)
+    reduced: FieldMatrix = dataclass_field(init=False, compare=False)
+    pivots: tuple[int, ...] = dataclass_field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0 <= self.k < self.N):
@@ -59,8 +61,11 @@ class CodeSpec:
             raise ValueError(
                 f"parity check must be {(self.N - self.k, self.N)}, got {self.H.shape}"
             )
-        if rref(self.H)[1] != self.N - self.k:
+        reduced, rank, pivots = rref(self.H)
+        if rank != self.N - self.k:
             raise ValueError(f"parity check of {self.label} is rank deficient")
+        object.__setattr__(self, "reduced", reduced)
+        object.__setattr__(self, "pivots", pivots)
         if self.d is not None and self.d < 1:
             raise ValueError("distance must be positive when given")
         if self.h is not None:

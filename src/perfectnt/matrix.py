@@ -34,8 +34,9 @@ The operand resolves its tier once, when it is built, and keeps read-only
 copies of A and K in its float type. A batch enters that type through int32,
 which holds every residue, and is reduced as above; a single vector runs as
 two matrix-vector products (sgemv or dgemv, through ``.dot``) and its int64
-sum is reduced by the same integer step. Past 2**53, K*v is reduced first,
-and the two products are ordinary int64 ones with inner dimensions N and r.
+sum is reduced by the same integer step. Past 2**53 the chain is
+``Factored.exact_image``, two int64 products with inner dimensions N and r,
+K*v reduced first; a transform's first column and row sums use it at every tier.
 
 The dense views of a transform, ``t.matrix`` and ``t.inverse_matrix``, are
 int64 matrices: T @ b, T.mat_vec(v) and every other operation on a view run
@@ -208,6 +209,17 @@ class Factored:
         for floats in self.floats or ():
             floats.setflags(write=False)
 
+    def exact_image(self, b: np.ndarray) -> np.ndarray:
+        """scalar*b + A*(K*b), b a vector or N rows, in int64 products only: it
+        shares no float product with the float tiers, so it cross-checks them."""
+        return self._plus_scaled(b, mulmod(self.a, mulmod(self.k, b, self.p), self.p))
+
+    def _plus_scaled(self, b: np.ndarray, chained: np.ndarray) -> np.ndarray:
+        """scalar*b + chained, A*(K*b)'s m leading rows, reduced."""
+        out = b.copy(order="K") if self.scalar == 1 else self.scalar * b
+        out[: len(chained)] += chained
+        return _remainder(out, self.p)
+
     @cached_property
     def dense(self) -> FieldMatrix:
         """The N x N matrix scalar*I + A*K, A's rows past m zero, in int64.
@@ -276,25 +288,20 @@ def mulmod(a, b, p: int) -> np.ndarray:
     """
     if isinstance(a, Factored):
         if a.floats is None:
-            chained = mulmod(a.a, mulmod(a.k, b, p), p)
-        elif b.ndim == 1:
-            fa, fk = a.floats
-            chained = fa.dot(fk.dot(b.astype(fk.dtype))).astype(np.int64)
-        else:
-            fa, fk = a.floats
-            # residues lie below 2**21, so the int32 step is exact, and numpy
-            # converts int32 to float in a vector loop, int64 not
-            fb = b.astype(np.int32).astype(fk.dtype)
-            # a batch arrives as rows.T: formed row by row, the chain has
-            # fb's memory order, and the sum below runs over both in step
-            chained = ((fb.T @ fk.T) @ fa.T).T
-            if a.scalar != 1:
-                fb *= a.scalar
-            fb[: len(chained)] += chained
-            return _reduce(fb, p)
-        out = b.copy(order="K") if a.scalar == 1 else a.scalar * b
-        out[: len(chained)] += chained
-        return _remainder(out, p)
+            return a.exact_image(b)
+        fa, fk = a.floats
+        if b.ndim == 1:
+            return a._plus_scaled(b, fa.dot(fk.dot(b.astype(fk.dtype))).astype(np.int64))
+        # residues lie below 2**21, so the int32 step is exact, and numpy
+        # converts int32 to float in a vector loop, int64 not
+        fb = b.astype(np.int32).astype(fk.dtype)
+        # a batch arrives as rows.T: formed row by row, the chain has
+        # fb's memory order, and the sum below runs over both in step
+        chained = ((fb.T @ fk.T) @ fa.T).T
+        if a.scalar != 1:
+            fb *= a.scalar
+        fb[: len(chained)] += chained
+        return _reduce(fb, p)
     if isinstance(b, FieldMatrix) and b._factors is not None and b._factors[1]:
         return mulmod(b._factors[0], _as_ints(a).T, p).T
     inner = a.shape[-1]

@@ -130,14 +130,10 @@ class TransformSpec:
         return mulmod(self._inverse, self._vectors(v).T, self.field.p).T
 
     def first_column(self) -> np.ndarray:
-        """T e_0 = lambda*e_0 + A*K[:, 0], from the factors in int64 products.
-
-        This route shares no float product with apply, so comparing the two
-        cross-checks the chain.
-        """
+        """T e_0 = lambda*e_0 + A*K[:, 0], the int64 image Factored.exact_image."""
         delta = np.zeros(self.n, dtype=np.int64)
         delta[0] = 1
-        return _exact_image(self._forward, delta)
+        return self._forward.exact_image(delta)
 
     def __repr__(self) -> str:
         return f"TransformSpec({self.code.label}, lambda={self.lam}, form={self.form})"
@@ -165,13 +161,6 @@ def _finish(code: CodeSpec, lam: int, a: FieldMatrix, k: FieldMatrix, form: str)
         a_inv = mulmod(a, core_inv, p) * (p - lam_inv) % p
     backward = Factored(lam_inv, FieldMatrix(field, a_inv), k)
     return TransformSpec(code, lam, form, det, Factored(lam, a, k), backward)
-
-
-def _exact_image(f: Factored, v: np.ndarray) -> np.ndarray:
-    """s*v + A*(K*v) for one vector, in int64 products only."""
-    out = f.scalar * v
-    out[: f.a.rows] += mulmod(f.a, mulmod(f.k, v, f.p), f.p)
-    return out % f.p
 
 
 def build_standard(code: CodeSpec, lam: int) -> TransformSpec:
@@ -575,7 +564,7 @@ def verify_properties(t: TransformSpec, trials: int = 1000, seed: int = 1234) ->
         count_failures("frequency_shift", freq_failed, "all shifts per trial")
 
         # constant sequences scale by the row sum, T*1 (exact over all residues)
-        row_sums = _exact_image(t._forward, np.ones(n, dtype=np.int64))
+        row_sums = t._forward.exact_image(np.ones(n, dtype=np.int64))
         s = int(row_sums.min())
         constants = np.repeat(np.arange(p, dtype=np.int64)[:, None], n, axis=1)
         ok = bool(np.all(row_sums == s)) and np.array_equal(

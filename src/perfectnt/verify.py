@@ -30,6 +30,7 @@ from .gf import require_integer
 from .matrix import (
     FieldMatrix,
     char_poly,
+    kernel_basis,
     mulmod,
     multiplicative_order,
     rref,
@@ -42,7 +43,6 @@ from .transforms import (
     build_extended_golay,
     build_standard,
     check_trials,
-    eigenspace,
     eigenspace_rows,
     verify_properties,
 )
@@ -209,12 +209,12 @@ def run_target(
     when the multiplicative order was computed for this target. Only the
     stored claims, and verify_properties when the shift certificate fails,
     read the dense views t.matrix and t.inverse_matrix, and only a stored
-    generator forms the eigenspace basis: the rest reads its reduced rows.
-    H is reduced once, and no basis of the code is formed: codeword_invariance
-    certifies T c = lambda*c for every codeword c from the eigenspace's rows
-    and rref(H) by one product of O(r^2 N) operations. At lambda = 1, the
-    golden targets' lambda, that is T c = c; at any other lambda its "fixed"
-    means fixed up to the factor lambda.
+    generator forms the eigenspace basis, from the rows reduced once here. H is
+    not reduced: rref(H) is the code's, kept from its rank check. No code basis
+    is formed: codeword_invariance certifies T c = lambda*c for every codeword
+    c from the eigenspace's rows and rref(H) by one product of O(r^2 N)
+    operations. At lambda = 1, the golden targets' lambda, that is T c = c; at
+    any other lambda its "fixed" means fixed up to the factor lambda.
     """
     check_trials(trials, t.n)
     claims = target.claims
@@ -276,12 +276,12 @@ def run_target(
     dim = t.n - rows.rows
     checks.append(CheckResult("eigenspace_dim", dim == t.code.k, t.code.k, dim))
 
-    code_rows, rank, pivots = rref(t.code.H)  # equal reduced rows: identical canonical bases
-    same = np.array_equal(rows.data, code_rows.data[:rank])
+    code_rows = t.code.reduced.data  # equal reduced rows: identical canonical bases
+    same = np.array_equal(rows.data, code_rows)
     checks.append(_matched("eigenspace_equals_code", same, "canonical bases identical"))
 
     if "generator" in claims:
-        ok = rref(reference.matrix(*claims["generator"]))[0] == eigenspace(t)
+        ok = rref(reference.matrix(*claims["generator"]))[0] == kernel_basis(rows)
         checks.append(_matched("generator_row_space", ok, "stored generator spans eigenspace"))
 
     # the witness comes from the eigenspace dimension, not from the code's k
@@ -298,12 +298,12 @@ def run_target(
     # T c = lambda c for every codeword c exactly when ker H lies in ker(T - lambda*I),
     # the kernel of the eigenspace's rows: when each of them is in H's row space, so
     # equals its entries at rref(H)'s pivots times rref(H)'s rows
-    fixed = np.array_equal(rows.data, mulmod(rows.data[:, list(pivots)], code_rows.data[:rank], p))
+    fixed = np.array_equal(rows.data, mulmod(rows.data[:, list(t.code.pivots)], code_rows, p))
     checks.append(
         CheckResult(
             "codeword_invariance",
             fixed,
-            f"all {_power_text(p, t.n - rank)} codewords fixed",
+            f"all {_power_text(p, t.code.k)} codewords fixed",
             "fixed" if fixed else "moved",
         )
     )

@@ -446,7 +446,7 @@ def _unable_to_allocate(*args):
 @pytest.mark.parametrize(
     "command,owner,name,replacement",
     [
-        ("verify", verify, "rref", _unable_to_allocate),  # the code's reduced rows
+        ("verify", verify, "eigenspace_rows", _unable_to_allocate),  # the eigenspace's rows
         ("eigen", cli, "kernel_basis", _unable_to_allocate),
         ("gen", matrix.Factored, "dense", property(_unable_to_allocate)),  # the N x N view
     ],
