@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .codes import perfect_witness
+from .codes import perfect_code_witness
 from .matrix import (
     FieldMatrix,
     format_matrix_json,
@@ -206,7 +206,7 @@ def _cmd_info(args) -> int:
     print(f"N={spec.N} k={spec.k} d={spec.d if spec.d is not None else '?'}")
     if spec.h is not None:
         print(f"h(x) = {spec.h}")
-    witness = perfect_witness(spec.field.p, spec.N, spec.k)
+    witness = perfect_code_witness(spec.reduced)
     if witness is None:
         print("perfect: no (sphere-packing equality fails for every radius)")
     else:

@@ -350,3 +350,26 @@ def perfect_witness(p: int, n: int, k: int) -> int | None:
         if s > target:
             return None
     return None
+
+
+def perfect_code_witness(rows: FieldMatrix) -> int | None:
+    """The perfectness radius of ker(rows), rows independent, or None.
+
+    perfect_witness at dimension N - rank, kept only when the code reaches
+    it. At t = 1 that needs minimum distance 3: every column of `rows`
+    nonzero and no two proportional. Each column is scaled so that its
+    first nonzero entry is 1 and the scaled columns must be distinct, in
+    O(rN) beside the sort. At t >= 2 the distance is not checked.
+    """
+    p, n = rows.field.p, rows.cols
+    witness = perfect_witness(p, n, n - rows.rows)
+    if witness != 1:
+        return witness
+    cols = rows.data.T
+    nonzero = cols != 0
+    if not nonzero.any(axis=1).all():
+        return None
+    lead = cols[np.arange(n), nonzero.argmax(axis=1)].tolist()
+    scaled = cols * np.array([pow(c, -1, p) for c in lead])[:, None] % p
+    ordered = scaled[np.lexsort(scaled.T)]
+    return None if (ordered[1:] == ordered[:-1]).all(axis=1).any() else 1

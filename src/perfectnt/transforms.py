@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .codes import CodeSpec, parity_rows_from_check_poly, perfect_witness
+from .codes import CodeSpec, parity_rows_from_check_poly, perfect_code_witness
 from .gf import PrimeField
 from .matrix import (
     Factored,
@@ -278,11 +278,13 @@ def is_perfect_transform(t: TransformSpec) -> tuple[bool, int | None, int]:
 
     Returns (perfect, witness radius or None, eigenspace dimension). The
     dimension is computed from the transform, not read off the code, so
-    a wrong fixture cannot vacuously pass. No eigenspace basis is formed.
+    a wrong fixture cannot vacuously pass, and a radius 1 also needs the
+    eigenspace rows' columns nonzero and pairwise independent
+    (codes.perfect_code_witness). No eigenspace basis is formed.
     """
-    dim = t.n - eigenspace_rows(t).rows
-    witness = perfect_witness(t.field.p, t.n, dim)
-    return witness is not None, witness, dim
+    rows = eigenspace_rows(t)
+    witness = perfect_code_witness(rows)
+    return witness is not None, witness, t.n - rows.rows
 
 
 # -- application routes -----------------------------------------------------------

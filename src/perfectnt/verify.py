@@ -23,7 +23,7 @@ from .codes import (
     golay_spec,
     hamming74_systematic,
     hamming_parity_check,
-    perfect_witness,
+    perfect_code_witness,
     shortened_hamming_6_3,
 )
 from .gf import require_integer
@@ -284,8 +284,8 @@ def run_target(
         ok = rref(reference.matrix(*claims["generator"]))[0] == kernel_basis(rows)
         checks.append(_matched("generator_row_space", ok, "stored generator spans eigenspace"))
 
-    # the witness comes from the eigenspace dimension, not from the code's k
-    witness = perfect_witness(p, t.n, dim)
+    # the witness comes from the eigenspace's rows, not from the code's k
+    witness = perfect_code_witness(rows)
     if "witness" not in claims:
         checks.append(CheckResult("perfect_witness_computed", True, "informational", witness))
     elif claims["witness"] is None:

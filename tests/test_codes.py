@@ -15,6 +15,7 @@ from perfectnt.codes import (
     hamming74_systematic,
     hamming_parity_check,
     parity_rows_from_check_poly,
+    perfect_code_witness,
     perfect_witness,
     shortened_hamming_6_3,
     sphere_packing_sum,
@@ -366,6 +367,48 @@ def test_sphere_packing_sums_exact():
 )
 def test_perfect_witness(p, n, k, expected):
     assert perfect_witness(p, n, k) == expected
+
+
+# The binary Hamming columns with (0,0,1) replaced by a zero column, and with
+# (1,1,1) replaced by a copy of (0,0,1); and the ternary hamming(4,2,3) columns
+# with (1,2) replaced by (2,2), twice (1,1). Each keeps full rank, and so the
+# parameters of a perfect code, at d < 3
+BELOW_DISTANCE_3 = {
+    "zero-column": (2, [[0, 1, 0, 1, 1, 0, 1], [0, 0, 1, 1, 0, 1, 1], [0, 0, 0, 0, 1, 1, 1]]),
+    "repeated-column": (2, [[0, 0, 0, 1, 1, 1, 0], [0, 1, 1, 0, 0, 1, 0], [1, 0, 1, 0, 1, 0, 1]]),
+    "proportional-columns": (3, [[1, 0, 1, 2], [0, 1, 1, 2]]),
+}
+
+
+@pytest.mark.parametrize("case", BELOW_DISTANCE_3)
+def test_the_radius_one_witness_certifies_the_code(case):
+    # at t = 1 the parameters alone are not enough: the code's columns must be
+    # nonzero and pairwise independent, else d < 3 and no radius is certified
+    p, h = BELOW_DISTANCE_3[case]
+    rows = FieldMatrix(PrimeField(p), h)
+    assert rref(rows)[1] == rows.rows
+    assert perfect_witness(p, rows.cols, rows.cols - rows.rows) == 1
+    assert perfect_code_witness(rows) is None
+    assert perfect_code_witness(rref(rows)[0]) is None
+
+
+def test_the_witness_of_every_fixture_is_read_off_its_reduced_rows():
+    # every fixture's code reaches the radius its parameters allow, read from
+    # the rref(H) the spec keeps
+    for spec in [
+        hamming74_systematic(),
+        hamming_parity_check(3, 2),
+        hamming_parity_check(16381, 2),
+        cyclic_hamming_spec(2, 3),
+        golay_spec("binary"),
+        golay_spec("ternary"),
+        golay_spec("ternary_systematic"),
+        golay_spec("extended_ternary"),
+        shortened_hamming_6_3(),
+    ]:
+        assert spec.reduced == rref(spec.H)[0] and spec.pivots == rref(spec.H)[2], spec
+        want = perfect_witness(spec.field.p, spec.N, spec.k)
+        assert perfect_code_witness(spec.reduced) == want, spec
 
 
 def test_rank_of_fixtures():

@@ -28,7 +28,7 @@ from perfectnt.matrix import (
     rref,
 )
 from perfectnt.poly import CyclicRing, FieldPoly
-from perfectnt.transforms import build_cyclic, build_standard
+from perfectnt.transforms import build_appendix_systematic, build_cyclic, build_standard
 
 from helpers import (
     holds_no_float_array,
@@ -687,6 +687,42 @@ def test_chained_mulmod_path_follows_the_bound(monkeypatch):
     ):
         v_shape = (n,) if cols is None else (n, cols)
         assert path(1, full((1, r), 1), full((r, n), 1), full(v_shape, 1), 2) == want, (r, n)
+
+
+@pytest.mark.parametrize(
+    "build,tier",
+    [
+        (lambda: build_standard(hamming_parity_check(7, 4), 3), "float32"),
+        (lambda: build_standard(hamming_parity_check(257, 2), 2), "float64"),
+        (lambda: build_cyclic(cyclic_hamming_spec(29, 3), 1), "float64"),
+        (
+            lambda: build_appendix_systematic(
+                FieldMatrix(PrimeField(2097143), [[3, 1], [5, 2097142], [0, 7]]), 5
+            ),
+            None,
+        ),
+    ],
+    ids=["h400-lambda3", "h258-p257-lambda2", "c871-p29", "appendix-p2097143"],
+)
+def test_the_int64_image_agrees_with_every_tier(build, tier):
+    # Factored.exact_image is mulmod's tier past 2**53 and the route of
+    # first_column and of the constant-sequence row sums; in every tier the
+    # chain and that image give python_chain's value, one vector or a batch,
+    # and the image of e_0 and of the ones vector are the dense view's first
+    # column and row sums
+    t = build()
+    f, p, n = t._forward, t.field.p, t.n
+    assert (None if f.floats is None else f.floats[0].dtype.name) == tier
+    rng = np.random.default_rng(34)
+    v, batch = rng.integers(0, p, size=n), rng.integers(0, p, size=(3, n))
+    for x in (v, batch.T):
+        want = python_chain(f.scalar, f.a.data, f.k.data, x, p)
+        assert f.exact_image(x).tolist() == want
+        assert t.apply(x.T).T.tolist() == want
+    dense = t.matrix.data
+    assert np.array_equal(t.first_column(), dense[:, 0])
+    row_sums = f.exact_image(np.ones(n, dtype=np.int64))
+    assert np.array_equal(row_sums, dense.sum(axis=1) % p)
 
 
 @pytest.mark.parametrize(

@@ -208,6 +208,20 @@ def test_eigenspace_of_a_rank_deficient_factor():
     assert eigenspace(t) == dense_eigenspace(t)
 
 
+def test_a_code_below_distance_3_is_not_certified_perfect():
+    # H with a zero column builds at lambda = 1 and has the parameters of the
+    # [7,4,3] Hamming code, but T fixes e_0, so d = 1 and no radius holds
+    h = [[0, 1, 0, 1, 1, 0, 1], [0, 0, 1, 1, 0, 1, 1], [0, 0, 0, 0, 1, 1, 1]]
+    t = build_standard(CodeSpec(GF2, 7, 4, None, FieldMatrix(GF2, h), None, "zero-column"), 1)
+    e0 = np.eye(1, 7, dtype=np.int64)[0]
+    assert np.array_equal(t.apply(e0), e0)
+    assert is_perfect_transform(t) == (False, None, 4)
+    # two proportional columns over GF(3): d = 2
+    h = [[1, 0, 1, 2], [0, 1, 1, 2]]
+    t = build_standard(CodeSpec(GF3, 4, 2, None, FieldMatrix(GF3, h), None, "proportional"), 1)
+    assert is_perfect_transform(t) == (False, None, 2)
+
+
 def test_perfectness_verdicts(golden):
     expected = {
         "hamming74": (True, 1, 4),

@@ -8,10 +8,15 @@ import pytest
 
 from helpers import code_in_eigenspace_by_blocks
 from perfectnt import matrix, transforms, verify
-from perfectnt.codes import UnsupportedParametersError
+from perfectnt.codes import UnsupportedParametersError, perfect_code_witness, perfect_witness
 from perfectnt.gf import is_prime
 from perfectnt.matrix import FieldMatrix
-from perfectnt.transforms import EigenvalueUnsuitableError, check_trials, verify_properties
+from perfectnt.transforms import (
+    EigenvalueUnsuitableError,
+    check_trials,
+    is_perfect_transform,
+    verify_properties,
+)
 from perfectnt.verify import (
     GOLDEN_LAMBDA,
     GOLDEN_TARGETS,
@@ -220,6 +225,46 @@ def test_codeword_invariance_agrees_with_applying_t_to_the_code(target, lam):
     _, checks = run_target(target, t, trials=1)
     assert _invariance_verdict(checks) == code_in_eigenspace_by_blocks(t)
     assert _invariance_verdict(checks)
+
+
+@pytest.mark.parametrize("target", GOLDEN_TARGETS, ids=lambda t: t.name)
+def test_every_golden_target_keeps_the_witness_of_its_parameters(target):
+    # the radius-1 condition on the columns refuses no golden target: the
+    # witness of verify, is_perfect_transform and info is the parameters' one
+    t = target.build()
+    want = perfect_witness(t.field.p, t.n, t.code.k)
+    assert want == target.claims["witness"]
+    assert is_perfect_transform(t)[1] == perfect_code_witness(t.code.reduced) == want
+    [check] = [c for c in run_target(target, t, trials=1)[1] if c.name == "perfect_witness"]
+    assert check.passed
+
+
+def test_every_hamming_code_up_to_400_keeps_its_witness():
+    # every Hamming selector with N <= 400 in both forms, at its first nonzero
+    # admissible lambda (5 of the 108 codes have none): its columns are the
+    # distinct projective points, so the radius is 1 read off rref(H) and off
+    # T's eigenspace
+    codes = built = 0
+    for p in filter(is_prime, range(2, 400)):
+        for m in itertools.count(2):
+            if (p**m - 1) // (p - 1) > 400:
+                break
+            for form in ("standard", "cyclic"):
+                try:
+                    code, build = verify.resolve("hamming", p, m, form)
+                except UnsupportedParametersError:
+                    continue
+                assert perfect_code_witness(code.reduced) == 1, (p, m, form)
+                codes += 1
+                for lam in range(1, p):
+                    try:
+                        t = build(code, lam)
+                    except EigenvalueUnsuitableError:
+                        continue
+                    assert is_perfect_transform(t) == (True, 1, code.k), (p, m, form, lam)
+                    built += 1
+                    break
+    assert (codes, built) == (108, 103)
 
 
 @pytest.mark.parametrize("p,m,form", [(2, 10, "cyclic"), (3, 6, "standard")])
